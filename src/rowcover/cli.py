@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -215,7 +217,23 @@ def _cmd_sweep(args: argparse.Namespace) -> list[dict]:
     return records
 
 
+def _check_writable(path: str) -> None:
+    # Checked up front so an unwritable --out fails before the experiment
+    # runs rather than after it.
+    target = Path(path)
+    writable = (
+        target.parent.is_dir()
+        and os.access(target.parent, os.W_OK)
+        and not target.is_dir()
+        and (not target.exists() or os.access(target, os.W_OK))
+    )
+    if not writable:
+        raise DomainError(f"cannot write the instance to {path}")
+
+
 def _cmd_omf(args: argparse.Namespace) -> list[dict]:
+    if args.out is not None:
+        _check_writable(args.out)
     instance = assemble_instance(args.n, args.p, args.theta, args.seed)
     report = row_coverage_check(instance.x)
     experiment = coverage_experiment(args.n, args.theta, args.p, args.trials, args.seed)

@@ -25,10 +25,9 @@ DomainError on invalid input.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, checked_int
 
 __all__ = [
     "SparsityModel",
@@ -53,16 +52,6 @@ _UNDERFLOW_LOG = -700.0
 _INCLUSION_EXCLUSION_MAX_N = 30
 
 
-def _checked_int(value: object, name: str, minimum: int) -> int:
-    try:
-        result = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if result < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {result}")
-    return result
-
-
 @dataclass(frozen=True, slots=True)
 class SparsityModel:
     """An n-row Bernoulli sparsity pattern with entry density theta.
@@ -76,7 +65,7 @@ class SparsityModel:
     theta: float
 
     def __post_init__(self) -> None:
-        n = _checked_int(self.n, "n", 1)
+        n = checked_int(self.n, "n", 1)
         theta = float(self.theta)
         if not math.isfinite(theta) or not 0.0 < theta <= 1.0:
             raise DomainError(f"theta must lie in (0, 1], got {theta!r}")
@@ -124,7 +113,7 @@ def classic_harmonic_sum(n: int) -> float:
     integer cancellation done exactly, so small n come out bit-clean
     (classic_harmonic_sum(3) == 5.5).
     """
-    n = _checked_int(n, "n", 1)
+    n = checked_int(n, "n", 1)
     return math.fsum(n / (n - k) for k in range(n))
 
 
@@ -258,7 +247,7 @@ def inclusion_exclusion_expectation(model: SparsityModel) -> float:
 
 def coverage_probability(model: SparsityModel, p: int) -> float:
     """P(every row covered within p columns) = (1 - (1-theta)^p)^n."""
-    p = _checked_int(p, "p", 0)
+    p = checked_int(p, "p", 0)
     n, theta = model.n, model.theta
     if p == 0:
         return 0.0
@@ -270,7 +259,7 @@ def coverage_probability(model: SparsityModel, p: int) -> float:
 
 def cover_time_pmf(model: SparsityModel, t: int) -> float:
     """P(T = t) as the difference of consecutive coverage probabilities."""
-    t = _checked_int(t, "t", 1)
+    t = checked_int(t, "t", 1)
     return coverage_probability(model, t) - coverage_probability(model, t - 1)
 
 

@@ -1,8 +1,10 @@
-"""Shared exception types."""
+"""Shared exception types and the integer check every entry point uses."""
 
 from __future__ import annotations
 
-__all__ = ["DomainError"]
+import operator
+
+__all__ = ["DomainError", "checked_int"]
 
 
 class DomainError(ValueError):
@@ -12,3 +14,18 @@ class DomainError(ValueError):
     catch the builtin, while the CLI and tests can distinguish domain
     failures from genuine bugs.
     """
+
+
+def checked_int(value: object, name: str, minimum: int) -> int:
+    """value as an int no smaller than minimum, else a DomainError naming it.
+
+    Accepts anything with __index__ (numpy integers, bools) and rejects
+    floats, even integral ones, so a count can never silently truncate.
+    """
+    try:
+        result = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if result < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {result}")
+    return result

@@ -11,7 +11,10 @@ Reproducibility contract: each trial's stream is a pure function of
 (seed, trial index) and each sweep point's sub-seed of (seed, p), via the
 stream-derivation scheme in _streams.  Identical (model, trials, seed)
 therefore give bit-identical estimates no matter how trials are chunked
-or parallelized.
+or parallelized.  The loops here take their streams and sub-seeds from
+_streams.trial_streams and _streams.trial_seeds, which derive them in
+batches under that same scheme; a stream they yield is valid only until
+the next trial's.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import _streams
 from .coverage import SparsityModel, coverage_probability
-from .errors import DomainError
+from .errors import DomainError, checked_int
 
 __all__ = [
     "Z95",
@@ -128,8 +131,7 @@ def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndar
     This is the package-wide pattern law: the omf module's sparse matrices
     place their nonzeros at exactly these positions for the same inputs.
     """
-    if p < 0:
-        raise DomainError(f"p must be >= 0, got {p}")
+    p = checked_int(p, "p", 0)
     seed = _streams.checked_seed(seed)
     stream = _streams.spawn_generator(seed, _streams.PATTERN)
     return stream.random((model.n, p)) < model.theta
@@ -137,6 +139,14 @@ def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndar
 
 def _normal_interval(mean: float, std_error: float) -> tuple[float, float]:
     return mean - Z95 * std_error, mean + Z95 * std_error
+
+
+def _proportion_estimate(hits: int, trials: int, seed: int) -> MonteCarloEstimate:
+    """hits / trials with its binomial standard error and Wilson interval."""
+    mean = hits / trials
+    std_error = math.sqrt(mean * (1.0 - mean) / trials)
+    ci_low, ci_high = _wilson_interval(hits, trials)
+    return MonteCarloEstimate(mean, std_error, ci_low, ci_high, trials, seed)
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -159,12 +169,11 @@ def estimate_expected_cover_time(
     model: SparsityModel, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Sample mean of `trials` independent cover times with a normal CI."""
-    if trials < 2:
-        raise DomainError(f"trials must be >= 2 for a confidence interval, got {trials}")
+    trials = checked_int(trials, "trials", 2)  # two, for a confidence interval
     seed = _streams.checked_seed(seed)
     values = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        stream = _streams.spawn_generator(seed, _streams.COVER_TRIAL, t)
+    streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
+    for t, stream in enumerate(streams):
         values[t] = sample_cover_time(model, stream)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(trials)
@@ -176,22 +185,16 @@ def estimate_coverage_probability(
     model: SparsityModel, p: int, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Fraction of n x p patterns with no all-zero row, with a Wilson CI."""
-    if p < 0:
-        raise DomainError(f"p must be >= 0, got {p}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    p = checked_int(p, "p", 0)
+    trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
     n, theta = model.n, model.theta
     hits = 0
-    for t in range(trials):
-        stream = _streams.spawn_generator(seed, _streams.COVERAGE_TRIAL, t)
+    for stream in _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials):
         pattern = stream.random((n, p)) < theta
         if bool(pattern.any(axis=1).all()):
             hits += 1
-    mean = hits / trials
-    std_error = math.sqrt(mean * (1.0 - mean) / trials)
-    ci_low, ci_high = _wilson_interval(hits, trials)
-    return MonteCarloEstimate(mean, std_error, ci_low, ci_high, trials, seed)
+    return _proportion_estimate(hits, trials, seed)
 
 
 def phase_sweep(
@@ -204,14 +207,15 @@ def phase_sweep(
     isolation and inserting or removing grid points never shifts the
     others.
     """
-    if p_min < 0:
-        raise DomainError(f"p_min must be >= 0, got {p_min}")
+    p_min = checked_int(p_min, "p_min", 0)
+    p_max = checked_int(p_max, "p_max", 0)
     if p_max < p_min:
         raise DomainError(f"range is inverted: p_min = {p_min}, p_max = {p_max}")
+    trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
     points = []
-    for p in range(p_min, p_max + 1):
-        sub_seed = _streams.derive_seed(seed, _streams.SWEEP_POINT, p)
+    sub_seeds = _streams.trial_seeds(seed, _streams.SWEEP_POINT, p_min, p_max + 1)
+    for p, sub_seed in zip(range(p_min, p_max + 1), sub_seeds):
         empirical = estimate_coverage_probability(model, p, trials, sub_seed)
         points.append(PhasePoint(p, empirical, coverage_probability(model, p)))
     return PhaseCurve(model, tuple(points))

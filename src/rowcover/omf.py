@@ -17,7 +17,6 @@ checked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from . import _streams
 from .coverage import SparsityModel
-from .errors import DomainError
-from .montecarlo import MonteCarloEstimate, _wilson_interval, sample_indicator_pattern
+from .errors import DomainError, checked_int
+from .montecarlo import MonteCarloEstimate, _proportion_estimate, sample_indicator_pattern
 
 __all__ = [
     "OmfInstance",
@@ -99,8 +98,7 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     factor's diagonal positive, which makes the result unique given the
     draw and uniformly distributed over the orthogonal group.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = checked_int(n, "n", 1)
     seed = _streams.checked_seed(seed)
     stream = _streams.spawn_generator(seed, _streams.ORTHOGONAL)
     gaussian = stream.standard_normal((n, n))
@@ -116,8 +114,7 @@ def sample_sparse_matrix(model: SparsityModel, p: int, seed: int) -> np.ndarray:
     values from a separate stream, so the pattern is unchanged by how the
     values are drawn and matches sample_indicator_pattern exactly.
     """
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
     pattern = sample_indicator_pattern(model, p, seed)
     values = _streams.spawn_generator(seed, _streams.VALUES).standard_normal(
@@ -129,8 +126,7 @@ def sample_sparse_matrix(model: SparsityModel, p: int, seed: int) -> np.ndarray:
 def assemble_instance(n: int, p: int, theta: float, seed: int) -> OmfInstance:
     """Build Y = V X for the given shape, density, and seed."""
     model = SparsityModel(n, theta)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
     v = random_orthogonal(n, seed)
     x = sample_sparse_matrix(model, p, seed)
@@ -166,19 +162,14 @@ def coverage_experiment(
     law is identical to montecarlo.estimate_coverage_probability because
     both draw the pattern from the shared pattern stream.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
     hits = 0
-    for t in range(trials):
-        sub_seed = _streams.derive_seed(seed, _streams.INSTANCE, t)
+    for sub_seed in _streams.trial_seeds(seed, _streams.INSTANCE, 0, trials):
         instance = assemble_instance(n, p, theta, sub_seed)
         if row_coverage_check(instance.x).covered:
             hits += 1
-    mean = hits / trials
-    std_error = math.sqrt(mean * (1.0 - mean) / trials)
-    ci_low, ci_high = _wilson_interval(hits, trials)
-    return MonteCarloEstimate(mean, std_error, ci_low, ci_high, trials, seed)
+    return _proportion_estimate(hits, trials, seed)
 
 
 def write_instance(instance: OmfInstance, path: str | Path) -> None:

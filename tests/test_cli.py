@@ -222,6 +222,26 @@ def test_sweep_rejects_malformed_lists(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["missing/dir/x", "."])
+def test_omf_unwritable_out_fails_before_any_work(where, tmp_path, capsys, monkeypatch):
+    from rowcover import cli
+
+    def no_work(*args):
+        raise AssertionError("the experiment ran before the output location was checked")
+
+    monkeypatch.setattr(cli, "coverage_experiment", no_work)
+    monkeypatch.setattr(cli, "assemble_instance", no_work)
+    out = tmp_path / where
+    code, stdout, stderr = run_capture(
+        ["omf", "--n", "3", "--theta", "0.5", "--p", "6", "--out", str(out)], capsys
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("rowcover: ") and str(out) in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "missing").exists()
+
+
 def test_omf_out_dump_round_trips(tmp_path, capsys):
     dump = tmp_path / "instance.txt"
     _, out, _ = run_capture(

@@ -297,6 +297,33 @@ def test_sweep_rejects_inverted_range():
         phase_sweep(SparsityModel(3, 0.5), -1, 4, 10, 0)
 
 
+# ------------------------------------------------------- integer arguments
+
+
+@pytest.mark.parametrize("trials", [10.0, 2.5, "10", None, 1, 0])
+def test_expected_cover_time_rejects_bad_trials(trials):
+    with pytest.raises(DomainError, match="trials"):
+        estimate_expected_cover_time(SparsityModel(3, 0.5), trials, 1)
+
+
+@pytest.mark.parametrize(
+    "p, trials, name",
+    [(3.5, 10, "p"), (3.0, 10, "p"), (-1, 10, "p"), (3, 10.0, "trials"), (3, 0, "trials")],
+)
+def test_coverage_probability_rejects_bad_integers(p, trials, name):
+    with pytest.raises(DomainError, match=name):
+        estimate_coverage_probability(SparsityModel(3, 0.5), p, trials, 1)
+
+
+@pytest.mark.parametrize(
+    "p_min, p_max, trials, name",
+    [(1.0, 4, 10, "p_min"), (1, 4.5, 10, "p_max"), (1, 4, 10.0, "trials"), (1, 4, 0, "trials")],
+)
+def test_phase_sweep_rejects_bad_integers(p_min, p_max, trials, name):
+    with pytest.raises(DomainError, match=name):
+        phase_sweep(SparsityModel(3, 0.5), p_min, p_max, trials, 1)
+
+
 # ------------------------------------------------------------- invariants
 
 

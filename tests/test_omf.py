@@ -34,6 +34,16 @@ def gram_defect(v: np.ndarray) -> float:
 # ------------------------------------------------------------- orthogonal
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [(0.5, "n must be an integer"), (2.0, "n must be an integer"), ("2", "n must be an integer"),
+     (0, "n must be >= 1")],
+)
+def test_random_orthogonal_rejects_bad_n(n, message):
+    with pytest.raises(DomainError, match=message):
+        random_orthogonal(n, 0)
+
+
 def test_random_orthogonal_one_by_one():
     for seed in (0, 1, 7, 12345):
         v = random_orthogonal(1, seed)
@@ -191,6 +201,14 @@ def test_coverage_report_consistency_enforced():
 
 
 # ------------------------------------------------------------- experiments
+
+
+@pytest.mark.parametrize(
+    "p, trials, name", [(6, 10.0, "trials"), (6, 0, "trials"), (6.0, 10, "p"), (0, 10, "p")]
+)
+def test_coverage_experiment_rejects_bad_integers(p, trials, name):
+    with pytest.raises(DomainError, match=name):
+        coverage_experiment(3, 0.5, p, trials, 1)
 
 
 def test_coverage_experiment_dense_always_covered():
