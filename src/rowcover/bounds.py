@@ -27,8 +27,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .coverage import SparsityModel, exact_expected_cover_time
-from .errors import DomainError
+from .coverage import SparsityModel, exact_expected_cover_time, harmonic
+from .errors import DomainError, checked_int
 
 __all__ = [
     "EULER_GAMMA",
@@ -118,13 +118,6 @@ def simple_lower_bound(model: SparsityModel) -> float:
     return model.n / _one_minus_q_pow_n(model)
 
 
-def harmonic(n: int) -> float:
-    """H_n = 1 + 1/2 + ... + 1/n."""
-    if n < 1:
-        raise DomainError(f"harmonic requires n >= 1, got {n}")
-    return math.fsum(1.0 / k for k in range(1, n + 1))
-
-
 def digamma_psi0(n: int) -> float:
     """psi0(n+1) through the integer identity psi0(n+1) = H_n - gamma."""
     return harmonic(n) - EULER_GAMMA
@@ -171,8 +164,7 @@ def log1m_taylor(theta: float, terms: int) -> float:
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise DomainError(f"log1m_taylor requires 0 < theta < 1, got {theta!r}")
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
+    terms = checked_int(terms, "terms", 1)
     return math.fsum(theta**j / j for j in range(1, terms + 1))
 
 

@@ -327,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     expect.add_argument("--n", type=int, required=True, help="number of rows")
     expect.add_argument("--theta", type=float, required=True, help="entry density in (0, 1]")
     expect.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                        help=f"tail-sum truncation tolerance (default: {_DEFAULT_TOL})")
+                        help=f"error bound on the exact expectation (default: {_DEFAULT_TOL})")
     _add_format_flag(expect)
     expect.set_defaults(handler=_cmd_expect)
 

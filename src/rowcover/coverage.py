@@ -9,6 +9,17 @@ i.i.d. geometric(theta) variables and everything here follows from
     P(T <= p) = (1 - (1-theta)^p)^n,
     E[T]      = sum_{t >= 0} [1 - (1 - (1-theta)^t)^n].
 
+E[T] is evaluated one of two ways, whichever meets the caller's tol.
+With lambda = -ln(1-theta) and f(t) = 1 - (1 - e^(-lambda t))^n, the
+Euler-Maclaurin formula from t = 0 gives the closed form
+
+    E[T] = H_n / lambda + 1/2 - f'(0)/12 + f'''(0)/720 + R,
+    |R| <= 26 lambda^3 / 720,
+
+in O(n) time at every theta; where that remainder bound exceeds tol, the
+tail sum is taken directly up to a horizon whose dropped tail is at most
+tol.
+
 Two further expectations are exposed for comparison.  The phase sum walks
 the process one newly-covered-row phase at a time; a single column can
 cover several rows at once, so it upper-bounds E[T].  The classic harmonic
@@ -24,8 +35,11 @@ DomainError on invalid input.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, checked_int
 
@@ -33,6 +47,7 @@ __all__ = [
     "SparsityModel",
     "CoverTimeSummary",
     "classic_harmonic_sum",
+    "harmonic",
     "phase_sum_raw",
     "phase_sum_expectation",
     "exact_expected_cover_time",
@@ -50,6 +65,18 @@ _UNDERFLOW_LOG = -700.0
 # cancellation destroys every significant digit.  Cap where doubles still
 # leave ~7 digits (2^30 / 2^53).
 _INCLUSION_EXCLUSION_MAX_N = 30
+
+# Reciprocals per numpy pass in harmonic; bounds the memory of one call.
+_HARMONIC_BLOCK = 4096
+
+# Euler-Maclaurin for E[T]: f'(0)/lambda and f'''(0)/lambda^3 for n = 1, 2, 3
+# (both vanish for n >= 4), and the remainder bound's factor on lambda^3.
+_EM_DERIVATIVES = {1: (-1.0, -1.0), 2: (0.0, 6.0), 3: (0.0, -6.0)}
+_EM_REMAINDER = 26.0 / 720.0
+
+# Most terms the direct tail sum may take; a tol that needs more is refused
+# rather than left running for hours.
+_MAX_TAIL_TERMS = 10**8
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +104,13 @@ class SparsityModel:
 class CoverTimeSummary:
     """Expected cover time computed three ways.
 
-    exact_expectation is the truncated tail sum with truncation error at
-    most truncation_error_bound; phase_sum is the phase-decomposition upper
-    bound; classic_reference is n * H_n, the one-row-per-column baseline.
+    exact_expectation is E[T] up to rounding and an approximation error of
+    at most truncation_error_bound, which bounds whichever approximation
+    exact_expected_cover_time took: the Euler-Maclaurin remainder
+    26 lambda^3 / 720 of the closed form, or the dropped tail
+    n (1-theta)^(T+1) / theta of the direct sum to horizon T.
+    phase_sum is the phase-decomposition upper bound; classic_reference is
+    n * H_n, the one-row-per-column baseline.
     """
 
     exact_expectation: float
@@ -90,8 +121,8 @@ class CoverTimeSummary:
     def __post_init__(self) -> None:
         for name in ("exact_expectation", "phase_sum", "classic_reference"):
             value = getattr(self, name)
-            if not value >= 1.0:
-                raise DomainError(f"{name} must be >= 1, got {value!r}")
+            if not 1.0 <= value < math.inf:
+                raise DomainError(f"{name} must be finite and >= 1, got {value!r}")
         if not self.truncation_error_bound >= 0.0:
             raise DomainError(
                 f"truncation_error_bound must be >= 0, got {self.truncation_error_bound!r}"
@@ -115,6 +146,20 @@ def classic_harmonic_sum(n: int) -> float:
     """
     n = checked_int(n, "n", 1)
     return math.fsum(n / (n - k) for k in range(n))
+
+
+def harmonic(n: int) -> float:
+    """H_n = 1 + 1/2 + ... + 1/n, exactly rounded.
+
+    numpy forms the reciprocals a block at a time; IEEE division rounds
+    each one exactly as 1.0 / k does, and fsum rounds their sum once.
+    """
+    n = checked_int(n, "n", 1)
+    blocks = (
+        (1.0 / np.arange(start, min(start + _HARMONIC_BLOCK, n + 1))).tolist()
+        for start in range(1, n + 1, _HARMONIC_BLOCK)
+    )
+    return math.fsum(itertools.chain.from_iterable(blocks))
 
 
 def _inner_complement_linear(n: int, k: int, theta: float) -> float:
@@ -185,12 +230,27 @@ def phase_sum_expectation(model: SparsityModel) -> float:
 
 
 def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> CoverTimeSummary:
-    """E[T] by the truncated tail sum, bundled with its reference values.
+    """E[T] up to rounding and an error of at most tol, with reference values.
 
-    The tail sum_{t > T} [1 - (1 - (1-theta)^t)^n] is at most
-    n (1-theta)^(T+1) / theta, so the horizon is grown until that bound
-    drops to tol; the bound actually achieved is reported in
-    truncation_error_bound.
+    With lambda = -ln(1-theta), E[T] = sum_{t >= 0} f(t) for
+    f(t) = 1 - (1 - e^(-lambda t))^n.  Euler-Maclaurin from t = 0 up to the
+    f''' term gives
+
+        E[T] = H_n / lambda + 1/2 - f'(0)/12 + f'''(0)/720 + R.
+
+    The integral of f is exactly H_n / lambda.  Expanding the power,
+    f^(k)(0) = lambda^k (-1)^(k+1+n) S(k, n) n! with S a Stirling number
+    of the second kind, which is 0 for k < n, so only n <= 3 carry
+    corrections.  |R| <= (|B_4| / 4!) int |f''''| and |B_4| / 4! = 1/720;
+    the substitution u = e^(-lambda t) bounds the integral by
+    lambda^3 sum_j S(4, j) (j-1)! = 26 lambda^3 whatever n is.  When
+    26 lambda^3 / 720 is at most tol, the closed form is returned with
+    that bound as truncation_error_bound, at O(n) cost for any theta.
+
+    Otherwise the tail sum is taken directly.  Its tail past horizon T is
+    at most n (1-theta)^(T+1) / theta, so T is grown until that drops to
+    tol, and the bound achieved is reported.  A tol that would need more
+    than 10^8 terms raises DomainError.
     """
     tol = float(tol)
     if not tol > 0.0 or not math.isfinite(tol):
@@ -202,8 +262,20 @@ def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> Cover
         return CoverTimeSummary(1.0, phase, classic, 0.0)
 
     log_q = math.log1p(-theta)
+    lam = -log_q
+    remainder = _EM_REMAINDER * lam**3
+    if remainder <= tol:
+        d1, d3 = _EM_DERIVATIVES.get(n, (0.0, 0.0))
+        value = math.fsum((harmonic(n) / lam, 0.5, -d1 * lam / 12.0, d3 * lam**3 / 720.0))
+        return CoverTimeSummary(value, phase, classic, remainder)
+
     target = math.log(tol) + math.log(theta) - math.log(n)
     horizon = max(0, math.ceil(target / log_q) - 1)
+    if horizon >= _MAX_TAIL_TERMS:
+        raise DomainError(
+            f"tol = {tol!r} needs about {horizon + 1} tail-sum terms at theta = {theta!r}, "
+            f"more than {_MAX_TAIL_TERMS}; loosen tol"
+        )
 
     def tail_bound(t: int) -> float:
         return n * math.exp((t + 1) * log_q) / theta
@@ -211,14 +283,9 @@ def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> Cover
     while tail_bound(horizon) > tol:
         horizon += 1
 
-    summands = []
-    for t in range(horizon + 1):
-        q_t = math.exp(t * log_q)
-        if q_t >= 1.0:
-            summands.append(1.0)
-        else:
-            summands.append(-math.expm1(n * math.log1p(-q_t)))
-    return CoverTimeSummary(math.fsum(summands), phase, classic, tail_bound(horizon))
+    powers = (math.exp(t * log_q) for t in range(horizon + 1))
+    value = math.fsum(1.0 if q_t >= 1.0 else -math.expm1(n * math.log1p(-q_t)) for q_t in powers)
+    return CoverTimeSummary(value, phase, classic, tail_bound(horizon))
 
 
 def inclusion_exclusion_expectation(model: SparsityModel) -> float:

@@ -83,6 +83,14 @@ def test_harmonic_against_rational_oracle():
 def test_harmonic_rejects_zero():
     with pytest.raises(DomainError):
         harmonic(0)
+    with pytest.raises(DomainError):
+        harmonic(2.5)
+
+
+def test_harmonic_matches_scalar_loop_across_blocks():
+    # The blocked numpy reciprocals are bit-identical to 1.0 / k term by term.
+    for n in (1, 2, 4095, 4096, 4097, 8193, 10_000):
+        assert harmonic(n) == math.fsum(1.0 / k for k in range(1, n + 1)), n
 
 
 def test_harmonic_log_approximation_cross_check():
@@ -353,6 +361,8 @@ def test_log1m_taylor_rejects_bad_arguments():
             log1m_taylor(theta, 3)
     with pytest.raises(DomainError):
         log1m_taylor(0.5, 0)
+    with pytest.raises(DomainError):
+        log1m_taylor(0.1, 2.5)
 
 
 # ----------------------------------------------------------- small theta

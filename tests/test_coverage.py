@@ -3,8 +3,9 @@
 Expected values come from independent oracles computed in exact rational
 arithmetic: an absorbing-Markov-chain solve for the expectation, an
 inclusion-exclusion rational sum, and brute-force enumeration of small
-sparsity patterns.  No expected constant below was produced by the code
-under test.
+sparsity patterns.  In the sparse regime the inclusion-exclusion sum is
+taken in mpmath at enough digits to survive its cancellation.  No expected
+constant below was produced by the code under test.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rowcover import (
@@ -62,6 +64,15 @@ def inclusion_exclusion_oracle(n: int, theta: Fraction) -> Fraction:
         Fraction((-1) ** (k + 1) * math.comb(n, k), 1) / (1 - q**k)
         for k in range(1, n + 1)
     )
+
+
+def mp_inclusion_exclusion(n: int, theta: float) -> mpmath.mpf:
+    """The inclusion-exclusion sum in mpmath, with digits to spare past its ~2^n cancellation."""
+    with mpmath.workdps(40 + n // 2):
+        q = 1 - mpmath.mpf(theta)
+        return mpmath.fsum(
+            (-1) ** (k + 1) * mpmath.binomial(n, k) / (1 - q**k) for k in range(1, n + 1)
+        )
 
 
 def enumerated_coverage_probability(n: int, p: int, theta: Fraction) -> Fraction:
@@ -124,6 +135,9 @@ def test_summary_validation():
         CoverTimeSummary(0.5, 2.0, 2.0, 0.0)
     with pytest.raises(DomainError):
         CoverTimeSummary(2.0, 2.0, 2.0, -1e-30)
+    # A subnormal theta overflows H_n / lambda; no bound makes inf an estimate.
+    with pytest.raises(DomainError):
+        exact_expected_cover_time(SparsityModel(2, 1e-310))
 
 
 # -------------------------------------------------------- classic sum
@@ -242,6 +256,47 @@ def test_exact_expectation_rejects_bad_tolerance():
         exact_expected_cover_time(SparsityModel(3, 0.5), tol=-1e-9)
     with pytest.raises(DomainError):
         exact_expected_cover_time(SparsityModel(3, 0.5), tol=float("inf"))
+    # Neither path meets this tol: the remainder bound is ~4e-29 and the
+    # direct sum would need ~9e10 terms, so it is refused up front.
+    with pytest.raises(DomainError, match="tol"):
+        exact_expected_cover_time(SparsityModel(3, 1e-9), tol=1e-30)
+
+
+def test_exact_expectation_closed_form_against_mpmath_oracle():
+    for n in (1, 2, 3, 4, 10, 30, 100):
+        for theta in (1e-3, 1e-5, 1e-7, 1e-9, 1e-12):
+            summary = exact_expected_cover_time(SparsityModel(n, theta))
+            assert summary.truncation_error_bound <= 1e-10
+            value = summary.exact_expectation
+            gap = abs(mpmath.mpf(value) - mp_inclusion_exclusion(n, theta))
+            assert gap <= summary.truncation_error_bound + 8 * math.ulp(value), (n, theta)
+
+
+def test_exact_expectation_paths_agree_at_crossover():
+    # At theta = 1e-3 the default tol takes the Euler-Maclaurin closed form
+    # (remainder bound 26 lambda^3 / 720 ~ 3.6e-11) and tol = 1e-12 the
+    # direct tail sum; they agree within both bounds plus rounding.
+    theta = 1e-3
+    lam = -math.log1p(-theta)
+    for n in (1, 2, 3, 4, 100, 2000):
+        closed = exact_expected_cover_time(SparsityModel(n, theta))
+        direct = exact_expected_cover_time(SparsityModel(n, theta), tol=1e-12)
+        assert math.isclose(closed.truncation_error_bound, 26 * lam**3 / 720, rel_tol=1e-12)
+        assert direct.truncation_error_bound <= 1e-12
+        slack = closed.truncation_error_bound + direct.truncation_error_bound
+        slack += 8 * math.ulp(closed.exact_expectation)
+        assert abs(closed.exact_expectation - direct.exact_expectation) <= slack, n
+
+
+def test_exact_expectation_sparse_regime_inside_eisenberg_bracket():
+    # H_n / lambda <= E[T] <= 1 + H_n / lambda (Eisenberg 2008).  The direct
+    # sum would need ~ln(n / (tol theta)) / theta terms here.
+    h_n = math.fsum(1.0 / k for k in range(1, 2001))
+    for theta in (1e-6, 1e-9, 1e-12):
+        summary = exact_expected_cover_time(SparsityModel(2000, theta))
+        assert summary.truncation_error_bound <= 1e-10
+        scale = h_n / -math.log1p(-theta)
+        assert scale <= summary.exact_expectation <= 1.0 + scale, theta
 
 
 def test_exact_expectation_monotone_in_n_and_theta():
