@@ -43,10 +43,7 @@ __all__ = ["run", "main", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
 
-_DEFAULT_DELTA = 0.01
-_DEFAULT_TRIALS = 10000
-_DEFAULT_SEED = 0
-_DEFAULT_TOL = 1e-10
+_ESTIMATE = ("mean", "std_error", "ci_low", "ci_high")
 
 
 def _real(value: float) -> float:
@@ -54,13 +51,25 @@ def _real(value: float) -> float:
     return float(f"{float(value):.12g}")
 
 
+def _value(value):
+    # The one place reals are rounded; bools print as 0 and 1, and ints,
+    # strings and None pass through.
+    if isinstance(value, bool):
+        return int(value)
+    return _real(value) if isinstance(value, float) else value
+
+
 def _record(command: str, parameters: dict, results: dict) -> dict:
     return {
         "command": command,
-        "parameters": parameters,
-        "results": results,
+        "parameters": {key: _value(value) for key, value in parameters.items()},
+        "results": {key: _value(value) for key, value in results.items()},
         "schema_version": SCHEMA_VERSION,
     }
+
+
+def _fields(source, names: Sequence[str]) -> dict:
+    return {name: getattr(source, name) for name in names}
 
 
 def _emit_json(records: list[dict], out) -> None:
@@ -76,78 +85,42 @@ def _flatten(record: dict) -> dict:
     return flat
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _emit_csv(records: list[dict], out) -> None:
+    # csv writes None as an empty cell and a float as its repr.
     flats = [_flatten(record) for record in records]
     fields = sorted(flats[0])
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fields)
     for flat in flats:
-        writer.writerow([_csv_cell(flat.get(field)) for field in fields])
+        writer.writerow([flat.get(field) for field in fields])
 
 
 def _cmd_expect(args: argparse.Namespace) -> list[dict]:
-    model = SparsityModel(args.n, args.theta)
-    summary = exact_expected_cover_time(model, args.tol)
-    return [
-        _record(
-            "expect",
-            {"n": model.n, "theta": _real(model.theta), "tol": _real(args.tol)},
-            {
-                "exact_expectation": _real(summary.exact_expectation),
-                "phase_sum": _real(summary.phase_sum),
-                "classic_reference": _real(summary.classic_reference),
-                "truncation_error_bound": _real(summary.truncation_error_bound),
-            },
-        )
-    ]
-
-
-def _optional_real(value: Optional[float]) -> Optional[float]:
-    return None if value is None else _real(value)
+    summary = exact_expected_cover_time(SparsityModel(args.n, args.theta), args.tol)
+    results = _fields(
+        summary, ("exact_expectation", "phase_sum", "classic_reference", "truncation_error_bound")
+    )
+    return [_record("expect", _fields(args, ("n", "theta", "tol")), results)]
 
 
 def _cmd_bounds(args: argparse.Namespace) -> list[dict]:
-    model = SparsityModel(args.n, args.theta)
-    report = bound_report(model)
-    return [
-        _record(
-            "bounds",
-            {"n": model.n, "theta": _real(model.theta)},
-            {
-                "theorem_bound": _real(report.theorem_bound),
-                "simple_lower_bound": _real(report.simple_lower_bound),
-                "digamma_bound": _optional_real(report.digamma_bound),
-                "digamma_approx_bound": _optional_real(report.digamma_approx_bound),
-                "small_theta_bound": _optional_real(report.small_theta_bound),
-                "phase_sum": _real(report.phase_sum),
-                "exact_expectation": _real(report.exact_expectation),
-            },
-        )
-    ]
+    report = bound_report(SparsityModel(args.n, args.theta))
+    results = _fields(report, (
+        "theorem_bound", "simple_lower_bound", "digamma_bound", "digamma_approx_bound",
+        "small_theta_bound", "phase_sum", "exact_expectation",
+    ))
+    return [_record("bounds", _fields(args, ("n", "theta")), results)]
 
 
 def _cmd_threshold(args: argparse.Namespace) -> list[dict]:
     model = SparsityModel(args.n, args.theta)
     p_star = coverage_threshold(model, args.delta)
-    return [
-        _record(
-            "threshold",
-            {"n": model.n, "theta": _real(model.theta), "delta": _real(args.delta)},
-            {
-                "p_star": p_star,
-                "coverage_at_p_star": _real(coverage_probability(model, p_star)),
-                "coverage_below_p_star": _real(coverage_probability(model, p_star - 1)),
-            },
-        )
-    ]
+    results = {
+        "p_star": p_star,
+        "coverage_at_p_star": coverage_probability(model, p_star),
+        "coverage_below_p_star": coverage_probability(model, p_star - 1),
+    }
+    return [_record("threshold", _fields(args, ("n", "theta", "delta")), results)]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
@@ -155,36 +128,13 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
     if args.p is None:
         estimate = estimate_expected_cover_time(model, args.trials, args.seed)
         analytic = exact_expected_cover_time(model, args.tol).exact_expectation
-        parameters = {
-            "n": model.n,
-            "theta": _real(model.theta),
-            "trials": args.trials,
-            "seed": args.seed,
-            "tol": _real(args.tol),
-        }
+        parameters = _fields(args, ("n", "theta", "trials", "seed", "tol"))
     else:
         estimate = estimate_coverage_probability(model, args.p, args.trials, args.seed)
         analytic = coverage_probability(model, args.p)
-        parameters = {
-            "n": model.n,
-            "theta": _real(model.theta),
-            "p": args.p,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-    return [
-        _record(
-            "simulate",
-            parameters,
-            {
-                "mean": _real(estimate.mean),
-                "std_error": _real(estimate.std_error),
-                "ci_low": _real(estimate.ci_low),
-                "ci_high": _real(estimate.ci_high),
-                "analytic": _real(analytic),
-            },
-        )
-    ]
+        parameters = _fields(args, ("n", "theta", "p", "trials", "seed"))
+    results = {**_fields(estimate, _ESTIMATE), "analytic": analytic}
+    return [_record("simulate", parameters, results)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> list[dict]:
@@ -194,26 +144,15 @@ def _cmd_sweep(args: argparse.Namespace) -> list[dict]:
             model = SparsityModel(n, theta)
             curve = phase_sweep(model, args.p_min, args.p_max, args.trials, args.seed)
             for point in curve.points:
-                records.append(
-                    _record(
-                        "sweep",
-                        {
-                            "n": model.n,
-                            "theta": _real(model.theta),
-                            "p": point.p,
-                            "trials": args.trials,
-                            "seed": args.seed,
-                        },
-                        {
-                            "mean": _real(point.empirical.mean),
-                            "std_error": _real(point.empirical.std_error),
-                            "ci_low": _real(point.empirical.ci_low),
-                            "ci_high": _real(point.empirical.ci_high),
-                            "analytic": _real(point.analytic),
-                            "subseed": point.empirical.seed,
-                        },
-                    )
-                )
+                parameters = {
+                    "n": n, "theta": theta, "p": point.p, "trials": args.trials, "seed": args.seed,
+                }
+                results = {
+                    **_fields(point.empirical, _ESTIMATE),
+                    "analytic": point.analytic,
+                    "subseed": point.empirical.seed,
+                }
+                records.append(_record("sweep", parameters, results))
     return records
 
 
@@ -237,82 +176,94 @@ def _cmd_omf(args: argparse.Namespace) -> list[dict]:
     instance = assemble_instance(args.n, args.p, args.theta, args.seed)
     report = row_coverage_check(instance.x)
     experiment = coverage_experiment(args.n, args.theta, args.p, args.trials, args.seed)
-    analytic = coverage_probability(SparsityModel(args.n, args.theta), args.p)
-
-    identity = np.eye(instance.n)
-    scale = max(1.0, float(np.linalg.norm(instance.x)))
-    orthogonality_error = float(np.abs(instance.v.T @ instance.v - identity).max())
-    reconstruction_error = float(np.linalg.norm(instance.v.T @ instance.y - instance.x)) / scale
-    norm_error = abs(
-        float(np.linalg.norm(instance.y)) - float(np.linalg.norm(instance.x))
-    ) / scale
-
-    parameters = {
-        "n": args.n,
-        "theta": _real(args.theta),
-        "p": args.p,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
+    x_norm = float(np.linalg.norm(instance.x))
+    norm_error = abs(float(np.linalg.norm(instance.y)) - x_norm) / max(1.0, x_norm)
+    parameters = _fields(args, ("n", "theta", "p", "trials", "seed"))
     if args.out is not None:
         write_instance(instance, args.out)
         parameters["out"] = args.out
-    return [
-        _record(
-            "omf",
-            parameters,
-            {
-                "covered": int(report.covered),
-                "uncovered_row_count": len(report.uncovered_rows),
-                "orthogonality_error": _real(orthogonality_error),
-                "reconstruction_error": _real(reconstruction_error),
-                "norm_preservation_error": _real(norm_error),
-                "mean": _real(experiment.mean),
-                "std_error": _real(experiment.std_error),
-                "ci_low": _real(experiment.ci_low),
-                "ci_high": _real(experiment.ci_high),
-                "analytic": _real(analytic),
-            },
-        )
-    ]
+    results = {
+        "covered": report.covered,
+        "uncovered_row_count": len(report.uncovered_rows),
+        **_fields(instance, ("orthogonality_error", "reconstruction_error")),
+        "norm_preservation_error": norm_error,
+        **_fields(experiment, _ESTIMATE),
+        "analytic": coverage_probability(SparsityModel(args.n, args.theta), args.p),
+    }
+    return [_record("omf", parameters, results)]
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(token) for token in text.split(",") if token.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
+def _list_of(kind: type, noun: str):
+    # A comma-separated list of int or float, for the sweep grid.
+    def parse(text: str) -> list:
+        try:
+            values = [kind(token) for token in text.split(",") if token.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {noun}")
+        return values
+
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(token) for token in text.split(",") if token.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one real")
-    return values
+# Every subcommand's help text and flags, in help order.  A bare flag takes
+# its definition from _FLAGS; a (flag, options) pair overrides or extends it.
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="number of rows"),
+    "--theta": dict(type=float, required=True, help="entry density in (0, 1]"),
+    "--p": dict(type=int),
+    "--trials": dict(
+        type=int, default=10000, help="Monte Carlo trial count (default: %(default)s)"
+    ),
+    "--seed": dict(
+        type=int, default=0, help="random seed, unsigned 64-bit (default: %(default)s)"
+    ),
+    "--tol": dict(type=float, default=1e-10),
+    "--format": dict(
+        choices=("json", "csv"), default="json", help="output encoding (default: %(default)s)"
+    ),
+}
 
-
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="output encoding (default: json)",
-    )
-
-
-def _add_trials_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trials", type=int, default=_DEFAULT_TRIALS,
-        help=f"Monte Carlo trial count (default: {_DEFAULT_TRIALS})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=_DEFAULT_SEED,
-        help=f"random seed, unsigned 64-bit (default: {_DEFAULT_SEED})",
-    )
+_COMMANDS = {
+    "expect": ("exact and phase-sum expected cover times", [
+        "--n", "--theta",
+        ("--tol", dict(help="error bound on the exact expectation (default: %(default)s)")),
+    ]),
+    "bounds": ("every closed-form bound for one model", ["--n", "--theta"]),
+    "threshold": ("smallest p with coverage probability at least 1 - delta", [
+        "--n", "--theta",
+        ("--delta", dict(
+            type=float, default=0.01, help="coverage failure budget (default: %(default)s)"
+        )),
+    ]),
+    "simulate": ("Monte Carlo cover-time mean, or coverage probability when --p is given", [
+        "--n", "--theta",
+        ("--p", dict(help="column count; switches to coverage-probability mode")),
+        "--trials", "--seed",
+        ("--tol", dict(help="tolerance for the analytic reference (default: %(default)s)")),
+    ]),
+    "sweep": ("empirical vs analytic coverage for every p in a range", [
+        ("--n", dict(
+            type=_list_of(int, "integer"),
+            help="number of rows; comma-separated list sweeps several",
+        )),
+        ("--theta", dict(
+            type=_list_of(float, "real"),
+            help="entry density; comma-separated list sweeps several",
+        )),
+        ("--p-min", dict(type=int, required=True, help="first column count")),
+        ("--p-max", dict(type=int, required=True, help="last column count")),
+        "--trials", "--seed",
+    ]),
+    "omf": ("assemble an orthogonal-times-sparse instance and run the coverage experiment", [
+        ("--n", dict(help="matrix dimension")),
+        "--theta",
+        ("--p", dict(required=True, help="column count")),
+        "--trials", "--seed",
+        ("--out", dict(help="write the assembled instance here")),
+    ]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,71 +273,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "row-sparsity patterns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    expect = sub.add_parser("expect", help="exact and phase-sum expected cover times")
-    expect.add_argument("--n", type=int, required=True, help="number of rows")
-    expect.add_argument("--theta", type=float, required=True, help="entry density in (0, 1]")
-    expect.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                        help=f"error bound on the exact expectation (default: {_DEFAULT_TOL})")
-    _add_format_flag(expect)
-    expect.set_defaults(handler=_cmd_expect)
-
-    bounds = sub.add_parser("bounds", help="every closed-form bound for one model")
-    bounds.add_argument("--n", type=int, required=True, help="number of rows")
-    bounds.add_argument("--theta", type=float, required=True, help="entry density in (0, 1]")
-    _add_format_flag(bounds)
-    bounds.set_defaults(handler=_cmd_bounds)
-
-    threshold = sub.add_parser(
-        "threshold", help="smallest p with coverage probability at least 1 - delta"
-    )
-    threshold.add_argument("--n", type=int, required=True, help="number of rows")
-    threshold.add_argument("--theta", type=float, required=True, help="entry density in (0, 1]")
-    threshold.add_argument("--delta", type=float, default=_DEFAULT_DELTA,
-                           help=f"coverage failure budget (default: {_DEFAULT_DELTA})")
-    _add_format_flag(threshold)
-    threshold.set_defaults(handler=_cmd_threshold)
-
-    simulate = sub.add_parser(
-        "simulate",
-        help="Monte Carlo cover-time mean, or coverage probability when --p is given",
-    )
-    simulate.add_argument("--n", type=int, required=True, help="number of rows")
-    simulate.add_argument("--theta", type=float, required=True, help="entry density in (0, 1]")
-    simulate.add_argument("--p", type=int, default=None,
-                          help="column count; switches to coverage-probability mode")
-    _add_trials_seed(simulate)
-    simulate.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                          help="tolerance for the analytic reference "
-                          f"(default: {_DEFAULT_TOL})")
-    _add_format_flag(simulate)
-    simulate.set_defaults(handler=_cmd_simulate)
-
-    sweep = sub.add_parser(
-        "sweep", help="empirical vs analytic coverage for every p in a range"
-    )
-    sweep.add_argument("--n", type=_int_list, required=True,
-                       help="number of rows; comma-separated list sweeps several")
-    sweep.add_argument("--theta", type=_float_list, required=True,
-                       help="entry density; comma-separated list sweeps several")
-    sweep.add_argument("--p-min", type=int, required=True, help="first column count")
-    sweep.add_argument("--p-max", type=int, required=True, help="last column count")
-    _add_trials_seed(sweep)
-    _add_format_flag(sweep)
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    omf = sub.add_parser(
-        "omf", help="assemble an orthogonal-times-sparse instance and run the "
-        "coverage experiment",
-    )
-    omf.add_argument("--n", type=int, required=True, help="matrix dimension")
-    omf.add_argument("--theta", type=float, required=True, help="entry density in (0, 1]")
-    omf.add_argument("--p", type=int, required=True, help="column count")
-    _add_trials_seed(omf)
-    omf.add_argument("--out", default=None, help="write the assembled instance here")
-    _add_format_flag(omf)
-    omf.set_defaults(handler=_cmd_omf)
-
+    for name, (help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in [*flags, "--format"]:
+            flag, options = (flag, {}) if isinstance(flag, str) else flag
+            command.add_argument(flag, **{**_FLAGS.get(flag, {}), **options})
+        # Looked up now, not at import, so wrappers set on the module apply.
+        command.set_defaults(handler=globals()[f"_cmd_{name}"])
     return parser
 
 

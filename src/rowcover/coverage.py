@@ -78,6 +78,10 @@ _EM_REMAINDER = 26.0 / 720.0
 # rather than left running for hours.
 _MAX_TAIL_TERMS = 10**8
 
+# Past 2**53, p and p - 1 are the same double: coverage_threshold cannot
+# resolve p* there, and its nudge loop, stepping p by 1, would not finish.
+_MAX_RESOLVED_P = 2.0**53
+
 
 @dataclass(frozen=True, slots=True)
 class SparsityModel:
@@ -226,7 +230,13 @@ def phase_sum_expectation(model: SparsityModel) -> float:
     if theta == 1.0:
         return float(n)
     log_q = math.log1p(-theta)
-    return math.fsum(1.0 / _complement_power(theta, k, log_q) for k in range(1, n + 1))
+    try:
+        total = math.fsum(1.0 / _complement_power(theta, k, log_q) for k in range(1, n + 1))
+    except OverflowError:  # fsum's partial sums passed the largest double
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"the phase sum overflows a double at theta = {theta!r}")
+    return total
 
 
 def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> CoverTimeSummary:
@@ -320,7 +330,11 @@ def coverage_probability(model: SparsityModel, p: int) -> float:
         return 0.0
     if theta == 1.0:
         return 1.0
-    q_p = math.exp(p * math.log1p(-theta))
+    log_q_p = p * math.log1p(-theta)
+    q_p = math.exp(log_q_p)
+    if q_p == 1.0:
+        # (1-theta)^p rounds to 1 but its complement is not 0; expm1 keeps it.
+        return math.exp(n * math.log(-math.expm1(log_q_p)))
     return math.exp(n * math.log1p(-q_p))
 
 
@@ -336,7 +350,8 @@ def coverage_threshold(model: SparsityModel, delta: float) -> int:
     The closed form p* = ceil(log(1 - (1-delta)^(1/n)) / log(1-theta)) is
     taken as a candidate and then nudged by direct evaluation, so the
     returned p* satisfies the defining inequalities even when the float
-    candidate lands one off.
+    candidate lands one off.  A p* above 2**53, which doubles cannot
+    resolve, raises DomainError.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
@@ -346,7 +361,10 @@ def coverage_threshold(model: SparsityModel, delta: float) -> int:
         return 1
     # 1 - (1-delta)^(1/n) without cancellation: -expm1(log1p(-delta)/n).
     per_row_tail = -math.expm1(math.log1p(-delta) / n)
-    candidate = max(1, math.ceil(math.log(per_row_tail) / math.log1p(-theta)))
+    steps = math.log(per_row_tail) / math.log1p(-theta)
+    if steps > _MAX_RESOLVED_P:
+        raise DomainError(f"p* exceeds 2**53 at theta = {theta!r}; doubles cannot resolve it")
+    candidate = max(1, math.ceil(steps))
     threshold = 1.0 - delta
     while coverage_probability(model, candidate) < threshold:
         candidate += 1

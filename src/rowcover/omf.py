@@ -43,12 +43,16 @@ _ORTHOGONALITY_TOL = 1e-10
 _RECONSTRUCTION_RTOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class OmfInstance:
     """One assembled factorization instance Y = V X.
 
-    Construction validates the defining algebra: V orthogonal to 1e-10 in
-    max norm and Y equal to V X to 1e-8 relative Frobenius error.
+    Construction validates the defining algebra and keeps the two defects
+    it measures as attributes: orthogonality_error is max |V^T V - I|, at
+    most 1e-10, and reconstruction_error is ||V^T Y - X|| / max(1, ||X||)
+    in the Frobenius norm, at most 1e-8.  They are derived, not dataclass
+    fields, so repr and anything walking dataclasses.fields see only the
+    defining data n, p, theta, v, x, y and seed.
     """
 
     n: int
@@ -69,10 +73,12 @@ class OmfInstance:
         gram_defect = float(np.abs(self.v.T @ self.v - np.eye(self.n)).max())
         if gram_defect > _ORTHOGONALITY_TOL:
             raise DomainError(f"v is not orthogonal: max Gram defect {gram_defect:.3e}")
-        residual = float(np.linalg.norm(self.y - self.v @ self.x))
         scale = max(1.0, float(np.linalg.norm(self.x)))
-        if residual > _RECONSTRUCTION_RTOL * scale:
-            raise DomainError(f"y does not equal v @ x: residual {residual:.3e}")
+        residual = float(np.linalg.norm(self.v.T @ self.y - self.x)) / scale
+        if residual > _RECONSTRUCTION_RTOL:
+            raise DomainError(f"y does not equal v @ x: relative residual {residual:.3e}")
+        object.__setattr__(self, "orthogonality_error", gram_defect)
+        object.__setattr__(self, "reconstruction_error", residual)
 
 
 @dataclass(frozen=True, slots=True)

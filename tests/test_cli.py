@@ -81,6 +81,23 @@ def test_domain_error_exit_code(capsys):
     assert err.startswith("rowcover: ")
 
 
+def test_simulate_where_the_power_rounds_to_one(capsys):
+    # (1-theta)^p rounds to 1.0 at this theta; the coverage probability is theta^2.
+    code, out, err = run_capture(
+        ["simulate", "--n", "2", "--theta", "5e-18", "--p", "1", "--trials", "10"], capsys
+    )
+    assert code == 0, err
+    (record,) = parse_json_lines(out)
+    assert math.isclose(record["results"]["analytic"], 2.5e-35, rel_tol=1e-11)
+
+
+def test_threshold_beyond_2_pow_53_is_a_domain_error(capsys):
+    code, out, err = run_capture(["threshold", "--n", "2", "--theta", "1e-300"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rowcover: ") and "theta = 1e-300" in err
+
+
 def test_domain_error_from_bad_seed(capsys):
     code, _, err = run_capture(
         ["simulate", "--n", "2", "--theta", "0.5", "--trials", "10", "--seed", "-1"],
@@ -98,7 +115,10 @@ def test_usage_error_exit_code(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_capture(["--help"], capsys)[0] == 0
-    assert run_capture(["simulate", "--help"], capsys)[0] == 0
+    for name in sorted(GOLDEN_COMMANDS):
+        code, out, _ = run_capture([name, "--help"], capsys)
+        assert code == 0, name
+        assert out.startswith(f"usage: rowcover {name} ")
 
 
 # ------------------------------------------------------------ record shape
@@ -216,10 +236,17 @@ def test_sweep_emits_one_record_per_grid_point(capsys):
 
 
 def test_sweep_rejects_malformed_lists(capsys):
-    code, _, _ = run_capture(
-        ["sweep", "--n", "2,x", "--theta", "0.5", "--p-min", "1", "--p-max", "2"], capsys
-    )
-    assert code == 2
+    for n, theta, message in (
+        ("2,x", "0.5", "expected comma-separated integers, got '2,x'"),
+        (",", "0.5", "expected at least one integer"),
+        ("2", "0.5,y", "expected comma-separated reals, got '0.5,y'"),
+        ("2", ",", "expected at least one real"),
+    ):
+        code, _, err = run_capture(
+            ["sweep", "--n", n, "--theta", theta, "--p-min", "1", "--p-max", "2"], capsys
+        )
+        assert code == 2
+        assert message in err
 
 
 @pytest.mark.parametrize("where", ["missing/dir/x", "."])
@@ -262,12 +289,16 @@ def test_omf_out_dump_round_trips(tmp_path, capsys):
 # ------------------------------------------------------------ golden files
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_golden_output(name):
-    result = run_subprocess(GOLDEN_COMMANDS[name])
+@pytest.mark.parametrize(
+    "golden", sorted(GOLDEN_COMMANDS) + [f"{name}.csv" for name in sorted(GOLDEN_COMMANDS)]
+)
+def test_golden_output(golden):
+    # <name>.golden pins the JSON output, <name>.csv.golden the CSV output.
+    name, _, encoding = golden.partition(".")
+    args = GOLDEN_COMMANDS[name] + (["--format", encoding] if encoding else [])
+    result = run_subprocess(args)
     assert result.returncode == 0, result.stderr.decode()
-    golden = (DATA_DIR / f"{name}.golden").read_bytes()
-    assert result.stdout == golden
+    assert result.stdout == (DATA_DIR / f"{golden}.golden").read_bytes()
 
 
 def test_golden_outputs_stable_across_runs():

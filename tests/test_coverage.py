@@ -203,6 +203,14 @@ def test_phase_sum_degenerate_density():
     assert phase_sum_raw(SparsityModel(7, 1.0)) == 7.0
 
 
+def test_phase_sum_refuses_overflow():
+    # 1/theta overflows at a subnormal theta; at theta = 1e-308 each term is
+    # finite but their sum passes the largest double by n = 4.
+    for model in (SparsityModel(2, 1e-310), SparsityModel(4, 1e-308)):
+        with pytest.raises(DomainError, match="theta"):
+            phase_sum_expectation(model)
+
+
 # ------------------------------------------------------- exact expectation
 
 
@@ -403,6 +411,16 @@ def test_coverage_probability_extreme_parameters_stay_finite():
     assert coverage_probability(SparsityModel(2, 1e-12), 1) > 0.0
 
 
+def test_coverage_probability_where_the_power_rounds_to_one():
+    # (1-theta)^p rounds to 1.0 for these theta, but the coverage
+    # probability (1 - (1-theta)^p)^n does not vanish: p = 1 gives theta^n
+    # exactly, and p = 3 gives (3 theta)^n up to a relative O(theta).
+    for n, theta in ((2, 5e-18), (3, 1e-20), (1, 1e-300)):
+        model = SparsityModel(n, theta)
+        assert math.isclose(coverage_probability(model, 1), theta**n, rel_tol=1e-12)
+        assert math.isclose(coverage_probability(model, 3), (3 * theta) ** n, rel_tol=1e-12)
+
+
 # ------------------------------------------------------------------ pmf
 
 
@@ -460,6 +478,15 @@ def test_threshold_defining_inequalities_over_grid():
                         theta,
                         delta,
                     )
+
+
+def test_threshold_refuses_p_star_beyond_2_pow_53():
+    # p* is about 5e17 at theta = 1e-17 and 5e300 at 1e-300: past 2**53,
+    # p and p - 1 are one double and coverage cannot tell them apart.
+    for theta in (1e-17, 1e-300):
+        with pytest.raises(DomainError, match="theta"):
+            coverage_threshold(SparsityModel(2, theta), 0.01)
+    assert coverage_threshold(SparsityModel(2, 1e-15), 0.01) < 2**53
 
 
 def test_threshold_degenerate_density():

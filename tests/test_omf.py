@@ -137,6 +137,10 @@ def test_assemble_reconstruction_and_norm():
     reconstruction = float(np.linalg.norm(instance.v.T @ instance.y - instance.x))
     assert reconstruction <= 1e-8 * x_norm
     assert abs(float(np.linalg.norm(instance.y)) - x_norm) <= 1e-8 * x_norm
+    # The defects the instance keeps are these formulas, bit for bit.
+    gram = float(np.abs(instance.v.T @ instance.v - np.eye(3)).max())
+    assert instance.orthogonality_error == gram
+    assert instance.reconstruction_error == reconstruction / max(1.0, x_norm)
 
 
 def test_assemble_deterministic():
