@@ -9,101 +9,19 @@ instances where row coverage is the recovery-necessary condition, and
 `cli` a command-line front end over all of it.
 """
 
-from .bounds import (
-    EULER_GAMMA,
-    SMALL_THETA_LIMIT,
-    BoundReport,
-    SmallThetaRegimeWarning,
-    bound_report,
-    digamma_approx_bound,
-    digamma_bound,
-    digamma_psi0,
-    harmonic,
-    log1m_taylor,
-    simple_lower_bound,
-    small_theta_bound,
-    theorem_bound,
-)
-from .coverage import (
-    CoverTimeSummary,
-    SparsityModel,
-    classic_harmonic_sum,
-    coverage_probability,
-    coverage_threshold,
-    cover_time_pmf,
-    exact_expected_cover_time,
-    inclusion_exclusion_expectation,
-    phase_sum_expectation,
-    phase_sum_raw,
-)
+from .bounds import *
+from .coverage import *
 from .errors import DomainError
-from .montecarlo import (
-    MonteCarloEstimate,
-    PhaseCurve,
-    PhasePoint,
-    Z95,
-    estimate_coverage_probability,
-    estimate_expected_cover_time,
-    phase_sweep,
-    sample_cover_time,
-    sample_indicator_pattern,
-)
-from .omf import (
-    CoverageReport,
-    OmfInstance,
-    assemble_instance,
-    coverage_experiment,
-    random_orthogonal,
-    read_instance,
-    row_coverage_check,
-    sample_sparse_matrix,
-    write_instance,
-)
+from .montecarlo import *
+from .omf import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "SparsityModel",
-    "CoverTimeSummary",
-    "classic_harmonic_sum",
-    "phase_sum_raw",
-    "phase_sum_expectation",
-    "exact_expected_cover_time",
-    "inclusion_exclusion_expectation",
-    "coverage_probability",
-    "cover_time_pmf",
-    "coverage_threshold",
-    "EULER_GAMMA",
-    "SMALL_THETA_LIMIT",
-    "SmallThetaRegimeWarning",
-    "BoundReport",
-    "theorem_bound",
-    "simple_lower_bound",
-    "harmonic",
-    "digamma_psi0",
-    "digamma_bound",
-    "digamma_approx_bound",
-    "log1m_taylor",
-    "small_theta_bound",
-    "bound_report",
-    "Z95",
-    "MonteCarloEstimate",
-    "PhasePoint",
-    "PhaseCurve",
-    "sample_cover_time",
-    "sample_indicator_pattern",
-    "estimate_expected_cover_time",
-    "estimate_coverage_probability",
-    "phase_sweep",
-    "OmfInstance",
-    "CoverageReport",
-    "random_orthogonal",
-    "sample_sparse_matrix",
-    "assemble_instance",
-    "row_coverage_check",
-    "coverage_experiment",
-    "write_instance",
-    "read_instance",
+    *coverage.__all__,
+    *bounds.__all__,
+    *montecarlo.__all__,
+    *omf.__all__,
     "__version__",
 ]

@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .coverage import SparsityModel, exact_expected_cover_time, harmonic
+from .coverage import SparsityModel, _complement_power, exact_expected_cover_time, harmonic
 from .errors import DomainError, checked_int
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "BoundReport",
     "theorem_bound",
     "simple_lower_bound",
-    "harmonic",
     "digamma_psi0",
     "digamma_bound",
     "digamma_approx_bound",
@@ -90,13 +89,14 @@ class BoundReport:
             raise DomainError("simple_lower_bound must not exceed phase_sum")
 
 
-def _one_minus_q_pow_n(model: SparsityModel) -> float:
-    # 1 - (1-theta)^n without cancellation; n = 1 is exactly theta.
-    if model.theta == 1.0:
-        return 1.0
-    if model.n == 1:
-        return model.theta
-    return -math.expm1(model.n * math.log1p(-model.theta))
+def _refuse_degenerate(name: str, theta: float) -> None:
+    # The digamma family divides by ln(1 - theta), or by theta standing in
+    # for -ln(1 - theta), and has no value in the dense limit.
+    if theta == 1.0:
+        raise DomainError(
+            f"{name} is undefined in the degenerate case theta = 1 "
+            "(ln(1 - theta) diverges)"
+        )
 
 
 def theorem_bound(model: SparsityModel) -> float:
@@ -115,7 +115,10 @@ def simple_lower_bound(model: SparsityModel) -> float:
     Every phase wait in the phase decomposition is at least
     1 / (1 - (1-theta)^n), and there are n phases.
     """
-    return model.n / _one_minus_q_pow_n(model)
+    n, theta = model.n, model.theta
+    if theta == 1.0:
+        return float(n)
+    return n / _complement_power(theta, n, math.log1p(-theta))
 
 
 def digamma_psi0(n: int) -> float:
@@ -130,11 +133,7 @@ def digamma_bound(model: SparsityModel) -> float:
     subtracted term positive, so this always exceeds n.
     """
     n, theta = model.n, model.theta
-    if theta == 1.0:
-        raise DomainError(
-            "digamma_bound is undefined in the degenerate case theta = 1 "
-            "(ln(1 - theta) diverges)"
-        )
+    _refuse_degenerate("digamma_bound", theta)
     return n - (EULER_GAMMA + digamma_psi0(n)) / math.log1p(-theta)
 
 
@@ -146,11 +145,7 @@ def digamma_approx_bound(model: SparsityModel) -> float:
     result at or below digamma_bound.
     """
     n, theta = model.n, model.theta
-    if theta == 1.0:
-        raise DomainError(
-            "digamma_approx_bound is undefined in the degenerate case theta = 1 "
-            "(ln(1 - theta) diverges)"
-        )
+    _refuse_degenerate("digamma_approx_bound", theta)
     m = n + 1
     psi_estimate = math.log(m) - 1.0 / (2.0 * m) - 1.0 / (12.0 * m * m)
     return n - (EULER_GAMMA + psi_estimate) / math.log1p(-theta)
@@ -176,10 +171,7 @@ def small_theta_bound(model: SparsityModel) -> float:
     SMALL_THETA_LIMIT and that factor is no longer close to 1.
     """
     n, theta = model.n, model.theta
-    if theta == 1.0:
-        raise DomainError(
-            "small_theta_bound is undefined in the degenerate case theta = 1"
-        )
+    _refuse_degenerate("small_theta_bound", theta)
     if theta > SMALL_THETA_LIMIT:
         warnings.warn(
             f"small_theta_bound assumes theta <= {SMALL_THETA_LIMIT}; "

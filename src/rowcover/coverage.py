@@ -79,7 +79,7 @@ _EM_REMAINDER = 26.0 / 720.0
 _MAX_TAIL_TERMS = 10**8
 
 # Past 2**53, p and p - 1 are the same double: coverage_threshold cannot
-# resolve p* there, and its nudge loop, stepping p by 1, would not finish.
+# resolve p* there.
 _MAX_RESOLVED_P = 2.0**53
 
 
@@ -139,6 +139,19 @@ def _complement_power(theta: float, k: int, log_q: float) -> float:
     if k == 1:
         return theta
     return -math.expm1(k * log_q)
+
+
+def _finite_sum(terms, what: str, theta: float) -> float:
+    # fsum of terms, refusing a sum that leaves the doubles: fsum raises
+    # OverflowError when its partial sums pass the largest double and
+    # ValueError when the terms hold inf of both signs.
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"{what} overflows a double at theta = {theta!r}")
+    return total
 
 
 def classic_harmonic_sum(n: int) -> float:
@@ -211,6 +224,8 @@ def phase_sum_raw(model: SparsityModel) -> float:
     n, theta = model.n, model.theta
     if theta == 1.0:
         return float(n)
+    if 1.0 - theta == 1.0:  # the phase k = 0 wait would be 1 / (1 - 1.0)
+        raise DomainError(f"1 - theta rounds to 1 at theta = {theta!r}; use phase_sum_expectation")
     inner = (
         _inner_complement_log
         if n * math.log1p(-theta) < _UNDERFLOW_LOG
@@ -230,13 +245,8 @@ def phase_sum_expectation(model: SparsityModel) -> float:
     if theta == 1.0:
         return float(n)
     log_q = math.log1p(-theta)
-    try:
-        total = math.fsum(1.0 / _complement_power(theta, k, log_q) for k in range(1, n + 1))
-    except OverflowError:  # fsum's partial sums passed the largest double
-        total = math.inf
-    if not math.isfinite(total):
-        raise DomainError(f"the phase sum overflows a double at theta = {theta!r}")
-    return total
+    terms = (1.0 / _complement_power(theta, k, log_q) for k in range(1, n + 1))
+    return _finite_sum(terms, "the phase sum", theta)
 
 
 def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> CoverTimeSummary:
@@ -319,7 +329,7 @@ def inclusion_exclusion_expectation(model: SparsityModel) -> float:
     for k in range(1, n + 1):
         terms.append(sign * math.comb(n, k) / _complement_power(theta, k, log_q))
         sign = -sign
-    return math.fsum(terms)
+    return _finite_sum(terms, "the inclusion-exclusion sum", theta)
 
 
 def coverage_probability(model: SparsityModel, p: int) -> float:
@@ -348,10 +358,12 @@ def coverage_threshold(model: SparsityModel, delta: float) -> int:
     """Smallest p with coverage_probability(model, p) >= 1 - delta.
 
     The closed form p* = ceil(log(1 - (1-delta)^(1/n)) / log(1-theta)) is
-    taken as a candidate and then nudged by direct evaluation, so the
-    returned p* satisfies the defining inequalities even when the float
-    candidate lands one off.  A p* above 2**53, which doubles cannot
-    resolve, raises DomainError.
+    taken as a candidate and then checked by direct evaluation: a search
+    from the candidate doubles its step until the inequality flips, then
+    bisects.  The returned p* satisfies the defining inequalities even
+    when the float candidate is far off, after O(log p*) evaluations.  A
+    candidate above 2**53, which doubles cannot resolve, raises
+    DomainError.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
@@ -359,15 +371,30 @@ def coverage_threshold(model: SparsityModel, delta: float) -> int:
     n, theta = model.n, model.theta
     if theta == 1.0:
         return 1
-    # 1 - (1-delta)^(1/n) without cancellation: -expm1(log1p(-delta)/n).
+    # 1 - (1-delta)^(1/n) without cancellation: -expm1(log1p(-delta)/n);
+    # where that underflows to 0, its leading term delta / n.
     per_row_tail = -math.expm1(math.log1p(-delta) / n)
-    steps = math.log(per_row_tail) / math.log1p(-theta)
+    log_tail = math.log(per_row_tail) if per_row_tail > 0.0 else math.log(delta) - math.log(n)
+    steps = log_tail / math.log1p(-theta)
     if steps > _MAX_RESOLVED_P:
         raise DomainError(f"p* exceeds 2**53 at theta = {theta!r}; doubles cannot resolve it")
     candidate = max(1, math.ceil(steps))
     threshold = 1.0 - delta
-    while coverage_probability(model, candidate) < threshold:
-        candidate += 1
-    while candidate > 1 and coverage_probability(model, candidate - 1) >= threshold:
-        candidate -= 1
-    return candidate
+
+    def covered(p: int) -> bool:
+        return coverage_probability(model, p) >= threshold
+
+    # Step away from the candidate, doubling, until covered() flips; p = 0
+    # is known uncovered.  Then bisect the bracket (low, high].
+    up = not covered(candidate)
+    edge, step = candidate, 1
+    while (probe := edge + step if up else max(0, edge - step)) > 0 and covered(probe) != up:
+        edge, step = probe, 2 * step
+    low, high = (edge, probe) if up else (probe, edge)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if covered(mid):
+            high = mid
+        else:
+            low = mid
+    return high

@@ -47,12 +47,14 @@ _RECONSTRUCTION_RTOL = 1e-8
 class OmfInstance:
     """One assembled factorization instance Y = V X.
 
-    Construction validates the defining algebra and keeps the two defects
-    it measures as attributes: orthogonality_error is max |V^T V - I|, at
-    most 1e-10, and reconstruction_error is ||V^T Y - X|| / max(1, ||X||)
-    in the Frobenius norm, at most 1e-8.  They are derived, not dataclass
-    fields, so repr and anything walking dataclasses.fields see only the
-    defining data n, p, theta, v, x, y and seed.
+    Construction validates the defining algebra and keeps three defects
+    as attributes, in the Frobenius norm: orthogonality_error is
+    max |V^T V - I|, at most 1e-10; reconstruction_error is
+    ||V^T Y - X|| / max(1, ||X||), at most 1e-8; and
+    norm_preservation_error is | ||Y|| - ||X|| | / max(1, ||X||), which
+    an orthogonal V keeps near rounding level.  They are derived, not
+    dataclass fields, so repr and anything walking dataclasses.fields see
+    only the defining data n, p, theta, v, x, y and seed.
     """
 
     n: int
@@ -73,12 +75,16 @@ class OmfInstance:
         gram_defect = float(np.abs(self.v.T @ self.v - np.eye(self.n)).max())
         if gram_defect > _ORTHOGONALITY_TOL:
             raise DomainError(f"v is not orthogonal: max Gram defect {gram_defect:.3e}")
-        scale = max(1.0, float(np.linalg.norm(self.x)))
+        x_norm = float(np.linalg.norm(self.x))
+        scale = max(1.0, x_norm)
         residual = float(np.linalg.norm(self.v.T @ self.y - self.x)) / scale
         if residual > _RECONSTRUCTION_RTOL:
             raise DomainError(f"y does not equal v @ x: relative residual {residual:.3e}")
         object.__setattr__(self, "orthogonality_error", gram_defect)
         object.__setattr__(self, "reconstruction_error", residual)
+        object.__setattr__(
+            self, "norm_preservation_error", abs(float(np.linalg.norm(self.y)) - x_norm) / scale
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,6 +24,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import rowcover
+from rowcover import bounds, coverage, errors, montecarlo, omf
 from rowcover import (
     EULER_GAMMA,
     SMALL_THETA_LIMIT,
@@ -66,6 +68,20 @@ def test_euler_gamma_is_nearest_double():
 
 
 # ---------------------------------------------------- harmonic / digamma
+
+
+def test_package_namespace_is_the_union_of_module_lists():
+    # Each public name is declared once, in the module that defines it, and
+    # the package re-exports that very object.
+    modules = (coverage, bounds, montecarlo, omf)
+    expected = ["DomainError", *(name for m in modules for name in m.__all__), "__version__"]
+    assert rowcover.__all__ == expected
+    assert len(set(rowcover.__all__)) == len(rowcover.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(rowcover, name) is getattr(module, name), name
+    assert rowcover.DomainError is errors.DomainError
+    assert "harmonic" not in bounds.__all__
 
 
 def test_harmonic_small_values():

@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from rowcover import coverage
 from rowcover import (
     CoverTimeSummary,
     DomainError,
@@ -203,6 +204,17 @@ def test_phase_sum_degenerate_density():
     assert phase_sum_raw(SparsityModel(7, 1.0)) == 7.0
 
 
+def test_phase_sum_raw_refuses_unresolvable_complement():
+    # 1 - theta rounds to 1.0 here, so the phase k = 0 wait would divide by
+    # zero; the refusal points to the collapsed form, which still resolves.
+    for theta in (5e-17, 1e-300):
+        model = SparsityModel(2, theta)
+        with pytest.raises(DomainError, match="phase_sum_expectation"):
+            phase_sum_raw(model)
+        assert phase_sum_expectation(model) > 0.0
+    assert phase_sum_raw(SparsityModel(2, 1e-15)) == 1501199875790165.2
+
+
 def test_phase_sum_refuses_overflow():
     # 1/theta overflows at a subnormal theta; at theta = 1e-308 each term is
     # finite but their sum passes the largest double by n = 4.
@@ -360,6 +372,14 @@ def test_inclusion_exclusion_agrees_with_tail_sum_through_twenty():
             assert math.isclose(a, b, rel_tol=1e-8, abs_tol=1e-8), (n, theta)
 
 
+def test_inclusion_exclusion_refuses_overflow():
+    # 2 / theta overflows at theta = 1e-308; below that the second term is
+    # -inf as well and fsum meets inf - inf.
+    for theta in (1e-308, 1e-309, 1e-320):
+        with pytest.raises(DomainError, match="theta"):
+            inclusion_exclusion_expectation(SparsityModel(2, theta))
+
+
 def test_inclusion_exclusion_refuses_large_n():
     with pytest.raises(DomainError):
         inclusion_exclusion_expectation(SparsityModel(31, 0.5))
@@ -487,6 +507,41 @@ def test_threshold_refuses_p_star_beyond_2_pow_53():
         with pytest.raises(DomainError, match="theta"):
             coverage_threshold(SparsityModel(2, theta), 0.01)
     assert coverage_threshold(SparsityModel(2, 1e-15), 0.01) < 2**53
+
+
+def test_threshold_far_from_its_candidate(monkeypatch):
+    # Where 1 - delta rounds to 1.0 the closed-form candidate can be far
+    # from p*; the expected values were found by unit steps from it.  The
+    # search reaches them in a bounded number of coverage evaluations: a
+    # candidate below 2**53 takes at most 54 while doubling, 53 bisecting.
+    calls = []
+
+    def counting(model, p):
+        calls.append(p)
+        return coverage_probability(model, p)
+
+    monkeypatch.setattr(coverage, "coverage_probability", counting)
+    cases = {
+        (2, 1e-4, 1e-300): 381212,
+        (2, 1e-8, 3e-16): 3617718461,
+        (2, 1e-9, 1e-15): 35178655935,
+        (2, 0.5, 1e-320): 56,
+        # log1p(-delta) / n rounds to 0 here, so the per-row tail is 0.0.
+        (2, 0.5, 5e-324): 56,
+    }
+    for (n, theta, delta), expected in cases.items():
+        calls.clear()
+        assert coverage_threshold(SparsityModel(n, theta), delta) == expected
+        assert 0 < len(calls) <= 108, (n, theta, delta, len(calls))
+    # Too slow to step through by units; the candidate of the second is
+    # near 2**53 and p* about 6% of it.
+    for n, theta, delta in ((2, 1e-6, 1e-300), (100, 8.803432305029794e-14, 3.34637199648e-312)):
+        model = SparsityModel(n, theta)
+        calls.clear()
+        p_star = coverage_threshold(model, delta)
+        assert len(calls) <= 108, (n, theta, delta, len(calls))
+        assert coverage_probability(model, p_star) >= 1.0 - delta
+        assert coverage_probability(model, p_star - 1) < 1.0 - delta
 
 
 def test_threshold_degenerate_density():

@@ -141,6 +141,8 @@ def test_assemble_reconstruction_and_norm():
     gram = float(np.abs(instance.v.T @ instance.v - np.eye(3)).max())
     assert instance.orthogonality_error == gram
     assert instance.reconstruction_error == reconstruction / max(1.0, x_norm)
+    norm_gap = abs(float(np.linalg.norm(instance.y)) - x_norm)
+    assert instance.norm_preservation_error == norm_gap / max(1.0, x_norm)
 
 
 def test_assemble_deterministic():
