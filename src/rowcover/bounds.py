@@ -115,10 +115,7 @@ def simple_lower_bound(model: SparsityModel) -> float:
     Every phase wait in the phase decomposition is at least
     1 / (1 - (1-theta)^n), and there are n phases.
     """
-    n, theta = model.n, model.theta
-    if theta == 1.0:
-        return float(n)
-    return n / _complement_power(theta, n, math.log1p(-theta))
+    return model.n / _complement_power(model.theta, model.n, model.log_q)
 
 
 def digamma_psi0(n: int) -> float:
@@ -134,7 +131,7 @@ def digamma_bound(model: SparsityModel) -> float:
     """
     n, theta = model.n, model.theta
     _refuse_degenerate("digamma_bound", theta)
-    return n - (EULER_GAMMA + digamma_psi0(n)) / math.log1p(-theta)
+    return n - (EULER_GAMMA + digamma_psi0(n)) / model.log_q
 
 
 def digamma_approx_bound(model: SparsityModel) -> float:
@@ -148,7 +145,7 @@ def digamma_approx_bound(model: SparsityModel) -> float:
     _refuse_degenerate("digamma_approx_bound", theta)
     m = n + 1
     psi_estimate = math.log(m) - 1.0 / (2.0 * m) - 1.0 / (12.0 * m * m)
-    return n - (EULER_GAMMA + psi_estimate) / math.log1p(-theta)
+    return n - (EULER_GAMMA + psi_estimate) / model.log_q
 
 
 def log1m_taylor(theta: float, terms: int) -> float:

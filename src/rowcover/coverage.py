@@ -27,10 +27,12 @@ sum n * H_n is the theta -> degenerate coupon-collector reference where
 each column covers exactly one uniformly random row.
 
 All quantities are evaluated in a form that survives extreme parameters:
-(1-theta)^k goes through exp(k * log1p(-theta)), complements of the form
-1 - (1-theta)^k go through expm1, and when (1-theta)^n underflows the
-binomial inner sums switch to log space.  Functions are pure and raise
-DomainError on invalid input.
+(1-theta)^k goes through exp(k * log_q) with log_q = SparsityModel.log_q =
+ln(1 - theta), complements of the form 1 - (1-theta)^k go through expm1,
+and when (1-theta)^n underflows the binomial inner sums switch to log
+space.  log_q is -inf at theta = 1, so the dense limit is an ordinary
+point of the formulas rather than a special case.  Functions are pure and
+raise DomainError on invalid input.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = [
     "coverage_threshold",
 ]
 
-# Below this value of n * log1p(-theta) the linear-space binomial recurrence
+# Below this value of n * log_q the linear-space binomial recurrence
 # would multiply through a subnormal (1-theta)^n; switch to log space there.
 _UNDERFLOW_LOG = -700.0
 
@@ -74,22 +76,25 @@ _HARMONIC_BLOCK = 4096
 _EM_DERIVATIVES = {1: (-1.0, -1.0), 2: (0.0, 6.0), 3: (0.0, -6.0)}
 _EM_REMAINDER = 26.0 / 720.0
 
-# Most terms the direct tail sum may take; a tol that needs more is refused
-# rather than left running for hours.
+# Most terms the direct tail sum, or phase_sum_raw's binomial sums, may
+# take; a call that needs more is refused rather than left running for hours.
 _MAX_TAIL_TERMS = 10**8
 
 # Past 2**53, p and p - 1 are the same double: coverage_threshold cannot
-# resolve p* there.
+# resolve p* there.  At or below 2**-54, 1 - delta rounds to 1.0, so no
+# smaller delta changes the inequality it tests.
 _MAX_RESOLVED_P = 2.0**53
+_MIN_RESOLVED_DELTA = 2.0**-54
 
 
 @dataclass(frozen=True, slots=True)
 class SparsityModel:
     """An n-row Bernoulli sparsity pattern with entry density theta.
 
-    n must be a positive integer and theta must lie in (0, 1].  theta = 1
-    is the dense limit: every entry is nonzero and one column covers all
-    rows.
+    n must be a positive integer that a double can hold, and theta must lie
+    in (0, 1].  theta = 1 is the dense limit: every entry is nonzero and
+    one column covers all rows.  log_q is ln(1 - theta), the one quantity
+    every formula here is built on.
     """
 
     n: int
@@ -97,11 +102,21 @@ class SparsityModel:
 
     def __post_init__(self) -> None:
         n = checked_int(self.n, "n", 1)
+        try:
+            float(n)
+        except OverflowError:
+            # str() of an int past 4300 digits raises, so name its size only.
+            raise DomainError(f"n must fit in a double, got {n.bit_length()} bits") from None
         theta = float(self.theta)
         if not math.isfinite(theta) or not 0.0 < theta <= 1.0:
             raise DomainError(f"theta must lie in (0, 1], got {theta!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "theta", theta)
+
+    @property
+    def log_q(self) -> float:
+        """ln(1 - theta); -inf at theta = 1, where (1-theta)^k = exp(k * log_q) is 0 for k >= 1."""
+        return math.log1p(-self.theta) if self.theta < 1.0 else -math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,36 +194,17 @@ def harmonic(n: int) -> float:
     return math.fsum(itertools.chain.from_iterable(blocks))
 
 
-def _inner_complement_linear(n: int, k: int, theta: float) -> float:
-    # 1 - sum_{r=0}^{k} C(k,r) theta^r (1-theta)^(n-r), built by the ratio
-    # recurrence term_{r+1} = term_r * (k-r)/(r+1) * theta/(1-theta).
-    # Requires (1-theta)^n representable; the caller checks that.
-    q = 1.0 - theta
-    ratio = theta / q
-    term = q**n
-    terms = [term]
-    for r in range(k):
-        term *= (k - r) / (r + 1) * ratio
-        terms.append(term)
-    return 1.0 - math.fsum(terms)
-
-
-def _inner_complement_log(n: int, k: int, theta: float) -> float:
-    # Same sum with each term computed as exp(log C(k,r) + r log theta
-    # + (n-r) log(1-theta)), combined by logsumexp; complement via expm1.
-    log_theta = math.log(theta)
-    log_q = math.log1p(-theta)
+def _inner_complement_log(
+    n: int, k: int, log_theta: float, log_q: float, log_fact: list[float]
+) -> float:
+    # 1 - sum_{r=0}^{k} C(k,r) theta^r (1-theta)^(n-r) with each term
+    # computed as exp(ln k! - ln r! - ln (k-r)! + r ln theta + (n-r) ln(1-theta)),
+    # combined by logsumexp; complement via expm1.  log_fact[j] is ln j!.
     logs = [
-        math.lgamma(k + 1)
-        - math.lgamma(r + 1)
-        - math.lgamma(k - r + 1)
-        + r * log_theta
-        + (n - r) * log_q
+        log_fact[k] - log_fact[r] - log_fact[k - r] + r * log_theta + (n - r) * log_q
         for r in range(k + 1)
     ]
     peak = max(logs)
-    if peak == -math.inf:
-        return 1.0
     log_sum = peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
     return -math.expm1(log_sum)
 
@@ -219,19 +215,45 @@ def phase_sum_raw(model: SparsityModel) -> float:
     For each phase k (k rows already covered) the expected number of
     columns spent is 1 / (1 - P[no new row covered]), with the no-progress
     probability written as sum_{r=0}^{k} C(k,r) theta^r (1-theta)^(n-r).
-    The sum over k = 0 .. n-1 of those waits is returned.
+    The sum over k = 0 .. n-1 of those waits is returned.  The inner sums
+    are built by the ratio recurrence term_{r+1} = term_r * (k-r)/(r+1) *
+    theta/(1-theta), or in log space where (1-theta)^n would underflow.
+
+    This form costs O(n^2): more than 10^8 terms n(n+1)/2, i.e. n >= 14142,
+    raise DomainError.  It also drifts at small theta, where 1 - sum
+    cancels.  Its relative gap to phase_sum_expectation at n = 2 is 3.2e-11
+    at theta = 1e-6, 8.3e-8 at 1e-10, 2.2e-5 at 1e-12, 8.0e-4 at 1e-14 and
+    9.9% at 1e-16.  phase_sum_expectation computes the same number in O(n)
+    without the cancellation; prefer it for anything but cross-checks.
     """
     n, theta = model.n, model.theta
     if theta == 1.0:
         return float(n)
     if 1.0 - theta == 1.0:  # the phase k = 0 wait would be 1 / (1 - 1.0)
         raise DomainError(f"1 - theta rounds to 1 at theta = {theta!r}; use phase_sum_expectation")
-    inner = (
-        _inner_complement_log
-        if n * math.log1p(-theta) < _UNDERFLOW_LOG
-        else _inner_complement_linear
-    )
-    return math.fsum(1.0 / inner(n, k, theta) for k in range(n))
+    if n * (n + 1) // 2 > _MAX_TAIL_TERMS:
+        raise DomainError(
+            f"n = {n} needs n(n+1)/2 binomial terms, more than {_MAX_TAIL_TERMS}; "
+            "use phase_sum_expectation"
+        )
+    log_q = model.log_q
+    if n * log_q < _UNDERFLOW_LOG:
+        log_theta = math.log(theta)
+        log_fact = [math.lgamma(j + 1) for j in range(n + 1)]
+        complements = [_inner_complement_log(n, k, log_theta, log_q, log_fact) for k in range(n)]
+    else:
+        q = 1.0 - theta
+        ratio = theta / q
+        q_n = q**n
+        complements = []
+        for k in range(n):
+            term = q_n
+            terms = [term]
+            for r in range(k):
+                term *= (k - r) / (r + 1) * ratio
+                terms.append(term)
+            complements.append(1.0 - math.fsum(terms))
+    return math.fsum(1.0 / c for c in complements)
 
 
 def phase_sum_expectation(model: SparsityModel) -> float:
@@ -241,10 +263,7 @@ def phase_sum_expectation(model: SparsityModel) -> float:
     so both functions compute the same number; this one in O(n) stable
     operations.
     """
-    n, theta = model.n, model.theta
-    if theta == 1.0:
-        return float(n)
-    log_q = math.log1p(-theta)
+    n, theta, log_q = model.n, model.theta, model.log_q
     terms = (1.0 / _complement_power(theta, k, log_q) for k in range(1, n + 1))
     return _finite_sum(terms, "the phase sum", theta)
 
@@ -278,10 +297,10 @@ def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> Cover
     n, theta = model.n, model.theta
     phase = phase_sum_expectation(model)
     classic = classic_harmonic_sum(n)
-    if theta == 1.0:
+    if theta == 1.0:  # the t = 0 term would be exp(0 * -inf) = nan
         return CoverTimeSummary(1.0, phase, classic, 0.0)
 
-    log_q = math.log1p(-theta)
+    log_q = model.log_q
     lam = -log_q
     remainder = _EM_REMAINDER * lam**3
     if remainder <= tol:
@@ -321,9 +340,7 @@ def inclusion_exclusion_expectation(model: SparsityModel) -> float:
             f"inclusion-exclusion loses all precision for n = {n} > "
             f"{_INCLUSION_EXCLUSION_MAX_N}; use exact_expected_cover_time"
         )
-    if theta == 1.0:
-        return 1.0
-    log_q = math.log1p(-theta)
+    log_q = model.log_q
     terms = []
     sign = 1.0
     for k in range(1, n + 1):
@@ -335,12 +352,10 @@ def inclusion_exclusion_expectation(model: SparsityModel) -> float:
 def coverage_probability(model: SparsityModel, p: int) -> float:
     """P(every row covered within p columns) = (1 - (1-theta)^p)^n."""
     p = checked_int(p, "p", 0)
-    n, theta = model.n, model.theta
+    n = model.n
     if p == 0:
         return 0.0
-    if theta == 1.0:
-        return 1.0
-    log_q_p = p * math.log1p(-theta)
+    log_q_p = p * model.log_q
     q_p = math.exp(log_q_p)
     if q_p == 1.0:
         # (1-theta)^p rounds to 1 but its complement is not 0; expm1 keeps it.
@@ -361,21 +376,22 @@ def coverage_threshold(model: SparsityModel, delta: float) -> int:
     taken as a candidate and then checked by direct evaluation: a search
     from the candidate doubles its step until the inequality flips, then
     bisects.  The returned p* satisfies the defining inequalities even
-    when the float candidate is far off, after O(log p*) evaluations.  A
-    candidate above 2**53, which doubles cannot resolve, raises
-    DomainError.
+    when the float candidate is far off, after O(log p*) evaluations.
+    Where delta <= 2**-54, 1 - delta rounds to 1.0 and the inequality asks
+    for coverage 1.0, a budget of 2**-54; the candidate is taken from that
+    budget rather than from delta.  A candidate above 2**53, which doubles
+    cannot resolve, raises DomainError.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     n, theta = model.n, model.theta
-    if theta == 1.0:
-        return 1
-    # 1 - (1-delta)^(1/n) without cancellation: -expm1(log1p(-delta)/n);
-    # where that underflows to 0, its leading term delta / n.
-    per_row_tail = -math.expm1(math.log1p(-delta) / n)
-    log_tail = math.log(per_row_tail) if per_row_tail > 0.0 else math.log(delta) - math.log(n)
-    steps = log_tail / math.log1p(-theta)
+    budget = max(delta, _MIN_RESOLVED_DELTA)
+    # 1 - (1-budget)^(1/n) without cancellation: -expm1(log1p(-budget)/n);
+    # where that underflows to 0, its leading term budget / n.
+    per_row_tail = -math.expm1(math.log1p(-budget) / n)
+    log_tail = math.log(per_row_tail) if per_row_tail > 0.0 else math.log(budget) - math.log(n)
+    steps = log_tail / model.log_q
     if steps > _MAX_RESOLVED_P:
         raise DomainError(f"p* exceeds 2**53 at theta = {theta!r}; doubles cannot resolve it")
     candidate = max(1, math.ceil(steps))

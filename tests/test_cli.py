@@ -98,6 +98,15 @@ def test_threshold_beyond_2_pow_53_is_a_domain_error(capsys):
     assert err.startswith("rowcover: ") and "theta = 1e-300" in err
 
 
+def test_n_beyond_a_double_is_a_domain_error(capsys):
+    # No double holds n = 10**309; bounds would otherwise sum O(n) terms.
+    for command in ("threshold", "bounds", "expect"):
+        code, out, err = run_capture([command, "--n", str(10**309), "--theta", "0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rowcover: ") and "fit in a double" in err
+
+
 def test_domain_error_from_bad_seed(capsys):
     code, _, err = run_capture(
         ["simulate", "--n", "2", "--theta", "0.5", "--trials", "10", "--seed", "-1"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -30,6 +31,8 @@ from rowcover import (
     inclusion_exclusion_expectation,
     phase_sum_expectation,
     phase_sum_raw,
+    simple_lower_bound,
+    theorem_bound,
 )
 
 THETA_GRID = (0.01, 0.1, 0.3, 0.5, 0.9, 1.0)
@@ -123,6 +126,21 @@ def test_model_validation():
         SparsityModel(3, float("nan"))
     with pytest.raises(DomainError):
         SparsityModel(2.5, 0.5)
+    # No double holds these n; past 4300 digits str(n) itself would raise.
+    for n in (10**309, 10**5000):
+        with pytest.raises(DomainError, match="fit in a double"):
+            SparsityModel(n, 0.5)
+    # The largest n a double holds still evaluates.
+    model = SparsityModel(int(sys.float_info.max), 0.5)
+    assert coverage_probability(model, 5) == 0.0
+    assert coverage_threshold(model, 0.01) == 1031
+
+
+def test_model_log_q():
+    # ln(1 - theta), with every (1-theta)^k = exp(k * log_q) exactly 0 at theta = 1.
+    for n, theta in ((1, 0.5), (3, 0.1), (100, 0.9995), (2, 1e-17), (7, 5e-324)):
+        assert SparsityModel(n, theta).log_q == math.log1p(-theta)
+    assert SparsityModel(4, 1.0).log_q == -math.inf
 
 
 def test_model_normalizes_field_types():
@@ -204,6 +222,23 @@ def test_phase_sum_degenerate_density():
     assert phase_sum_raw(SparsityModel(7, 1.0)) == 7.0
 
 
+def test_values_pinned_bit_for_bit():
+    # Values of the implementation before log_q took over ln(1 - theta) and
+    # the dense limit became an ordinary point of the general formulas.
+    assert phase_sum_raw(SparsityModel(100, 0.1)) == 127.0862459784709  # linear branch
+    assert phase_sum_raw(SparsityModel(100, 0.9995)) == 100.00050050025018  # log branch
+    for n in (1, 2, 30):
+        model = SparsityModel(n, 1.0)
+        assert phase_sum_raw(model) == float(n)
+        assert phase_sum_expectation(model) == float(n)
+        assert inclusion_exclusion_expectation(model) == 1.0
+        assert simple_lower_bound(model) == float(n)
+        assert theorem_bound(model) == float(n)
+        assert [coverage_probability(model, p) for p in (0, 1, 5)] == [0.0, 1.0, 1.0]
+        assert [cover_time_pmf(model, t) for t in (1, 2, 5)] == [1.0, 0.0, 0.0]
+        assert [coverage_threshold(model, d) for d in (0.5, 0.01, 1e-300)] == [1, 1, 1]
+
+
 def test_phase_sum_raw_refuses_unresolvable_complement():
     # 1 - theta rounds to 1.0 here, so the phase k = 0 wait would divide by
     # zero; the refusal points to the collapsed form, which still resolves.
@@ -213,6 +248,14 @@ def test_phase_sum_raw_refuses_unresolvable_complement():
             phase_sum_raw(model)
         assert phase_sum_expectation(model) > 0.0
     assert phase_sum_raw(SparsityModel(2, 1e-15)) == 1501199875790165.2
+
+
+def test_phase_sum_raw_refuses_more_than_the_term_ceiling():
+    # n(n+1)/2 passes 10^8 at n = 14142; the refusal comes before any term.
+    for n in (14142, 10**6, 2**1000):
+        with pytest.raises(DomainError, match="phase_sum_expectation"):
+            phase_sum_raw(SparsityModel(n, 0.5))
+    assert phase_sum_raw(SparsityModel(14142, 1.0)) == 14142.0
 
 
 def test_phase_sum_refuses_overflow():
@@ -514,6 +557,8 @@ def test_threshold_far_from_its_candidate(monkeypatch):
     # from p*; the expected values were found by unit steps from it.  The
     # search reaches them in a bounded number of coverage evaluations: a
     # candidate below 2**53 takes at most 54 while doubling, 53 bisecting.
+    # Below delta = 2**-54 the candidate comes from the 2**-54 budget the
+    # comparison sees, and lands next to p*.
     calls = []
 
     def counting(model, p):
@@ -528,18 +573,25 @@ def test_threshold_far_from_its_candidate(monkeypatch):
         (2, 0.5, 1e-320): 56,
         # log1p(-delta) / n rounds to 0 here, so the per-row tail is 0.0.
         (2, 0.5, 5e-324): 56,
+        # 1 - 1e-17 also rounds to 1.0, so delta = 1e-17 poses the same
+        # inequality; its p* was found by the search from that candidate.
+        (100, 7e-14, 1e-320): 600501684803196,
     }
+    near = {(100, 7e-14, 1e-320), (100, 8.803432305029794e-14, 3.34637199648e-312)}
     for (n, theta, delta), expected in cases.items():
         calls.clear()
         assert coverage_threshold(SparsityModel(n, theta), delta) == expected
-        assert 0 < len(calls) <= 108, (n, theta, delta, len(calls))
+        assert 0 < len(calls) <= (4 if (n, theta, delta) in near else 108), (
+            n, theta, delta, len(calls))
+    assert coverage_threshold(SparsityModel(100, 7e-14), 1e-17) == 600501684803196
     # Too slow to step through by units; the candidate of the second is
     # near 2**53 and p* about 6% of it.
     for n, theta, delta in ((2, 1e-6, 1e-300), (100, 8.803432305029794e-14, 3.34637199648e-312)):
         model = SparsityModel(n, theta)
         calls.clear()
         p_star = coverage_threshold(model, delta)
-        assert len(calls) <= 108, (n, theta, delta, len(calls))
+        assert len(calls) <= (4 if (n, theta, delta) in near else 108), (
+            n, theta, delta, len(calls))
         assert coverage_probability(model, p_star) >= 1.0 - delta
         assert coverage_probability(model, p_star - 1) < 1.0 - delta
 
