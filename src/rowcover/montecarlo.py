@@ -137,12 +137,9 @@ def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndar
     return stream.random((model.n, p)) < model.theta
 
 
-def _normal_interval(mean: float, std_error: float) -> tuple[float, float]:
-    return mean - Z95 * std_error, mean + Z95 * std_error
-
-
-def _proportion_estimate(hits: int, trials: int, seed: int) -> MonteCarloEstimate:
-    """hits / trials with its binomial standard error and Wilson interval."""
+def _proportion_estimate(outcomes, trials: int, seed: int) -> MonteCarloEstimate:
+    """Share of true outcomes among `trials`, with binomial std error and Wilson interval."""
+    hits = sum(map(bool, outcomes))
     mean = hits / trials
     std_error = math.sqrt(mean * (1.0 - mean) / trials)
     ci_low, ci_high = _wilson_interval(hits, trials)
@@ -171,14 +168,12 @@ def estimate_expected_cover_time(
     """Sample mean of `trials` independent cover times with a normal CI."""
     trials = checked_int(trials, "trials", 2)  # two, for a confidence interval
     seed = _streams.checked_seed(seed)
-    values = np.empty(trials, dtype=np.int64)
     streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
-    for t, stream in enumerate(streams):
-        values[t] = sample_cover_time(model, stream)
+    values = np.fromiter((sample_cover_time(model, s) for s in streams), np.int64, count=trials)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(trials)
-    ci_low, ci_high = _normal_interval(mean, std_error)
-    return MonteCarloEstimate(mean, std_error, ci_low, ci_high, trials, seed)
+    half = Z95 * std_error
+    return MonteCarloEstimate(mean, std_error, mean - half, mean + half, trials, seed)
 
 
 def estimate_coverage_probability(
@@ -189,12 +184,9 @@ def estimate_coverage_probability(
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
     n, theta = model.n, model.theta
-    hits = 0
-    for stream in _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials):
-        pattern = stream.random((n, p)) < theta
-        if bool(pattern.any(axis=1).all()):
-            hits += 1
-    return _proportion_estimate(hits, trials, seed)
+    streams = _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials)
+    outcomes = ((s.random((n, p)) < theta).any(axis=1).all() for s in streams)
+    return _proportion_estimate(outcomes, trials, seed)
 
 
 def phase_sweep(

@@ -176,12 +176,9 @@ def coverage_experiment(
     """
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
-    hits = 0
-    for sub_seed in _streams.trial_seeds(seed, _streams.INSTANCE, 0, trials):
-        instance = assemble_instance(n, p, theta, sub_seed)
-        if row_coverage_check(instance.x).covered:
-            hits += 1
-    return _proportion_estimate(hits, trials, seed)
+    sub_seeds = _streams.trial_seeds(seed, _streams.INSTANCE, 0, trials)
+    outcomes = (row_coverage_check(assemble_instance(n, p, theta, s).x).covered for s in sub_seeds)
+    return _proportion_estimate(outcomes, trials, seed)
 
 
 def write_instance(instance: OmfInstance, path: str | Path) -> None:

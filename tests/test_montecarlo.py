@@ -23,6 +23,7 @@ from rowcover import (
     SparsityModel,
     Z95,
     cover_time_pmf,
+    coverage_experiment,
     coverage_probability,
     coverage_threshold,
     estimate_coverage_probability,
@@ -55,6 +56,56 @@ def test_coverage_probability_bit_reproducible():
 def test_phase_sweep_bit_reproducible():
     model = SparsityModel(3, 0.5)
     assert phase_sweep(model, 1, 6, 500, 99) == phase_sweep(model, 1, 6, 500, 99)
+
+
+_TOP_SEED = 2**64 - 1
+
+
+def _pinned(mean, std_error, ci_low, ci_high, trials, seed):
+    return MonteCarloEstimate(mean, std_error, ci_low, ci_high, trials, seed)
+
+
+# Values of the stream scheme captured once and compared with ==, so any
+# change to the draws, their order or the reductions shows here.  The
+# 1,500- and 1,100-trial cases cross the 1,024-key blocks of _streams.
+@pytest.mark.parametrize(
+    "estimator, args, expected",
+    [
+        (estimate_expected_cover_time, (SparsityModel(1, 0.3), 50, 0),
+         _pinned(2.84, 0.2946599562137997, 2.262477098134803, 3.4175229018651967, 50, 0)),
+        (estimate_expected_cover_time, (SparsityModel(3, 0.5), 1500, _TOP_SEED),
+         _pinned(3.082, 0.04313134704157333, 2.997464113193818, 3.166535886806182,
+                 1500, _TOP_SEED)),
+        (estimate_expected_cover_time, (SparsityModel(100, 0.05), 200, 7),
+         _pinned(104.19, 1.8028368209616406, 100.6565047609125, 107.7234952390875, 200, 7)),
+        (estimate_coverage_probability, (SparsityModel(1, 0.3), 2, 40, 7),
+         _pinned(0.4, 0.07745966692414834, 0.2634832568429192, 0.5540410633965381, 40, 7)),
+        (estimate_coverage_probability, (SparsityModel(3, 0.5), 4, 1500, _TOP_SEED),
+         _pinned(0.8326666666666667, 0.009637872825089185, 0.8129320223811173,
+                 0.8507017630463886, 1500, _TOP_SEED)),
+        (estimate_coverage_probability, (SparsityModel(10, 0.2), 12, 300, 0),
+         _pinned(0.52, 0.028844410203711913, 0.4635710820137406, 0.5759231991372775, 300, 0)),
+        (coverage_experiment, (1, 0.5, 1, 1100, _TOP_SEED),
+         _pinned(0.49363636363636365, 0.015074346183084793, 0.4641647803120694,
+                 0.5231522389137195, 1100, _TOP_SEED)),
+        (coverage_experiment, (3, 0.5, 4, 40, 0),
+         _pinned(0.85, 0.05645794895318108, 0.709276756335103, 0.9293881228267964, 40, 0)),
+    ],
+)
+def test_estimates_pinned_bit_for_bit(estimator, args, expected):
+    assert estimator(*args) == expected
+
+
+def test_phase_sweep_pinned_bit_for_bit():
+    curve = phase_sweep(SparsityModel(3, 0.5), 2, 4, 100, _TOP_SEED)
+    assert [point.empirical for point in curve.points] == [
+        _pinned(0.47, 0.04990991885387112, 0.3751081795934127, 0.5671114302990063,
+                100, 4269915063390370585),
+        _pinned(0.66, 0.04737087712930804, 0.5627772885472462, 0.7453847920265184,
+                100, 1011070060679569373),
+        _pinned(0.78, 0.04142463035441595, 0.6892964648501421, 0.8499871761539459,
+                100, 4121046970996954173),
+    ]
 
 
 def test_trial_streams_are_schedule_independent():
