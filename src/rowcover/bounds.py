@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coverage import SparsityModel, _complement_power, exact_expected_cover_time, harmonic
-from .errors import DomainError, checked_int
+from .errors import DomainError, checked_int, checked_real
 
 __all__ = [
     "EULER_GAMMA",
@@ -153,7 +153,7 @@ def log1m_taylor(theta: float, terms: int) -> float:
 
     The omitted tail is bounded by theta^(T+1) / ((T+1)(1-theta)).
     """
-    theta = float(theta)
+    theta = checked_real(theta, "theta")
     if not 0.0 < theta < 1.0:
         raise DomainError(f"log1m_taylor requires 0 < theta < 1, got {theta!r}")
     terms = checked_int(terms, "terms", 1)

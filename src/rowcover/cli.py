@@ -44,17 +44,13 @@ SCHEMA_VERSION = "1"
 _ESTIMATE = ("mean", "std_error", "ci_low", "ci_high")
 
 
-def _real(value: float) -> float:
-    # 12 significant digits; the printed form is what golden tests pin.
-    return float(f"{float(value):.12g}")
-
-
 def _value(value):
-    # The one place reals are rounded; bools print as 0 and 1, and ints,
-    # strings and None pass through.
+    # The one place reals are rounded, to the 12 significant digits that
+    # golden tests pin; bools print as 0 and 1, and ints, strings and None
+    # pass through.
     if isinstance(value, bool):
         return int(value)
-    return _real(value) if isinstance(value, float) else value
+    return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
 def _record(command: str, parameters: dict, results: dict) -> dict:
@@ -176,7 +172,10 @@ def _cmd_omf(args: argparse.Namespace) -> list[dict]:
     experiment = coverage_experiment(args.n, args.theta, args.p, args.trials, args.seed)
     parameters = _fields(args, ("n", "theta", "p", "trials", "seed"))
     if args.out is not None:
-        write_instance(instance, args.out)
+        try:
+            write_instance(instance, args.out)
+        except OSError:
+            raise DomainError(f"cannot write the instance to {args.out}") from None
         parameters["out"] = args.out
     results = {
         "covered": report.covered,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, checked_int
+from .errors import DomainError, checked_int, checked_real
 
 __all__ = [
     "SparsityModel",
@@ -102,12 +102,8 @@ class SparsityModel:
 
     def __post_init__(self) -> None:
         n = checked_int(self.n, "n", 1)
-        try:
-            float(n)
-        except OverflowError:
-            # str() of an int past 4300 digits raises, so name its size only.
-            raise DomainError(f"n must fit in a double, got {n.bit_length()} bits") from None
-        theta = float(self.theta)
+        checked_real(n, "n")  # refuses an n no double holds
+        theta = checked_real(self.theta, "theta")
         if not math.isfinite(theta) or not 0.0 < theta <= 1.0:
             raise DomainError(f"theta must lie in (0, 1], got {theta!r}")
         object.__setattr__(self, "n", n)
@@ -291,7 +287,7 @@ def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> Cover
     tol, and the bound achieved is reported.  A tol that would need more
     than 10^8 terms raises DomainError.
     """
-    tol = float(tol)
+    tol = checked_real(tol, "tol")
     if not tol > 0.0 or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite float, got {tol!r}")
     n, theta = model.n, model.theta
@@ -355,7 +351,9 @@ def coverage_probability(model: SparsityModel, p: int) -> float:
     n = model.n
     if p == 0:
         return 0.0
-    log_q_p = p * model.log_q
+    # int * float converts the int first, so this is p * log_q, refusing
+    # a p no double holds.
+    log_q_p = checked_real(p, "p") * model.log_q
     q_p = math.exp(log_q_p)
     if q_p == 1.0:
         # (1-theta)^p rounds to 1 but its complement is not 0; expm1 keeps it.
@@ -382,7 +380,7 @@ def coverage_threshold(model: SparsityModel, delta: float) -> int:
     budget rather than from delta.  A candidate above 2**53, which doubles
     cannot resolve, raises DomainError.
     """
-    delta = float(delta)
+    delta = checked_real(delta, "delta")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     n, theta = model.n, model.theta

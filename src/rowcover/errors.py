@@ -1,10 +1,10 @@
-"""Shared exception types and the integer check every entry point uses."""
+"""Shared exception types and the integer and real checks every entry point uses."""
 
 from __future__ import annotations
 
 import operator
 
-__all__ = ["DomainError", "checked_int"]
+__all__ = ["DomainError", "checked_int", "checked_real"]
 
 
 class DomainError(ValueError):
@@ -29,3 +29,19 @@ def checked_int(value: object, name: str, minimum: int) -> int:
     if result < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {result}")
     return result
+
+
+def checked_real(value: object, name: str) -> float:
+    """float(value), else a DomainError naming it.
+
+    Accepts whatever float() accepts, numeric strings included; range
+    checks stay with the caller.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        # str() of an int past 4300 digits raises, so name its size only.
+        bits = int(value).bit_length()
+        raise DomainError(f"{name} must fit in a double, got {bits} bits") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None

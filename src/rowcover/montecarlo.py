@@ -48,6 +48,11 @@ __all__ = [
 # bit-reproducible without a scipy dependency.
 Z95 = 1.959963984540054
 
+# numpy's geometric sampler returns this for any draw at or past 2^63.
+# Below it, a draw is a double cast to int, and every double past 2^53 is
+# even, so this odd value only ever means a clipped draw.
+_CLIPPED_DRAW = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True, slots=True)
 class MonteCarloEstimate:
@@ -112,11 +117,16 @@ def sample_cover_time(
     cover time is the max of n geometric(theta) variables) in O(n).  With
     column_process=True the column-by-column process is simulated
     literally as a model-fidelity cross-check; the two draw from different
-    stream positions but identical distributions.
+    stream positions but identical distributions.  A geometric draw that
+    numpy clipped at the int64 maximum raises DomainError rather than
+    returning a cover time that is too small.
     """
     n, theta = model.n, model.theta
     if not column_process:
-        return int(stream.geometric(theta, size=n).max())
+        cover_time = int(stream.geometric(theta, size=n).max())
+        if cover_time == _CLIPPED_DRAW:
+            raise DomainError(f"theta = {theta!r} clips a geometric draw at the int64 maximum")
+        return cover_time
     covered = np.zeros(n, dtype=bool)
     columns = 0
     while not covered.all():

@@ -201,8 +201,11 @@ def read_instance(path: str | Path) -> OmfInstance:
     lines = [line for line in text.splitlines() if line.strip()]
     try:
         n_text, p_text, theta_text, seed_text = lines[0].split()
+        # DomainError is a ValueError, so a header outside the model's
+        # domain or the seed range is reported as malformed too.
         n, p = int(n_text), int(p_text)
-        theta, seed = float(theta_text), int(seed_text)
+        model = SparsityModel(n, float(theta_text))
+        seed = _streams.checked_seed(int(seed_text))
     except (IndexError, ValueError) as exc:
         raise DomainError(f"malformed instance header in {path}: {exc}") from None
     if len(lines) - 1 != 3 * n:  # n rows each for V, X, Y
@@ -224,4 +227,4 @@ def read_instance(path: str | Path) -> OmfInstance:
     v = block(1, n)
     x = block(1 + n, p)
     y = block(1 + 2 * n, p)
-    return OmfInstance(n=n, p=p, theta=theta, v=v, x=x, y=y, seed=seed)
+    return OmfInstance(n=n, p=p, theta=model.theta, v=v, x=x, y=y, seed=seed)

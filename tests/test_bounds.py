@@ -379,6 +379,9 @@ def test_log1m_taylor_rejects_bad_arguments():
         log1m_taylor(0.5, 0)
     with pytest.raises(DomainError):
         log1m_taylor(0.1, 2.5)
+    for theta in (None, "x", 10**400):
+        with pytest.raises(DomainError, match="theta"):
+            log1m_taylor(theta, 3)
 
 
 # ----------------------------------------------------------- small theta

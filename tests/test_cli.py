@@ -107,6 +107,16 @@ def test_n_beyond_a_double_is_a_domain_error(capsys):
         assert err.startswith("rowcover: ") and "fit in a double" in err
 
 
+def test_simulate_with_a_clipped_draw_is_a_domain_error(capsys):
+    # At theta = 1e-300 every geometric draw clips at the int64 maximum.
+    code, out, err = run_capture(
+        ["simulate", "--n", "3", "--theta", "1e-300", "--trials", "5"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rowcover: ") and err.count("\n") == 1
+
+
 def test_domain_error_from_bad_seed(capsys):
     code, _, err = run_capture(
         ["simulate", "--n", "2", "--theta", "0.5", "--trials", "10", "--seed", "-1"],
@@ -276,6 +286,27 @@ def test_omf_unwritable_out_fails_before_any_work(where, tmp_path, capsys, monke
     assert stderr.startswith("rowcover: ") and str(out) in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "missing").exists()
+
+
+def test_omf_failed_write_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    # A location that passes the up-front check can still fail to take
+    # the write, e.g. on a full disk.
+    from rowcover import cli
+
+    def disk_full(instance, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_instance", disk_full)
+    out = tmp_path / "instance.txt"
+    code, stdout, stderr = run_capture(
+        ["omf", "--n", "2", "--theta", "0.5", "--p", "3", "--trials", "5", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("rowcover: ") and str(out) in stderr
+    assert stderr.count("\n") == 1
+    assert "Traceback" not in stderr
 
 
 def test_omf_out_dump_round_trips(tmp_path, capsys):

@@ -126,6 +126,11 @@ def test_model_validation():
         SparsityModel(3, float("nan"))
     with pytest.raises(DomainError):
         SparsityModel(2.5, 0.5)
+    for theta in (None, "x", 10**400):
+        with pytest.raises(DomainError, match="theta"):
+            SparsityModel(3, theta)
+    # Whatever float() accepts is still a theta.
+    assert SparsityModel(3, "0.5") == SparsityModel(3, 0.5)
     # No double holds these n; past 4300 digits str(n) itself would raise.
     for n in (10**309, 10**5000):
         with pytest.raises(DomainError, match="fit in a double"):
@@ -319,6 +324,9 @@ def test_exact_expectation_rejects_bad_tolerance():
         exact_expected_cover_time(SparsityModel(3, 0.5), tol=-1e-9)
     with pytest.raises(DomainError):
         exact_expected_cover_time(SparsityModel(3, 0.5), tol=float("inf"))
+    for tol in (None, "x", 10**400):
+        with pytest.raises(DomainError, match="tol"):
+            exact_expected_cover_time(SparsityModel(3, 0.5), tol)
     # Neither path meets this tol: the remainder bound is ~4e-29 and the
     # direct sum would need ~9e10 terms, so it is refused up front.
     with pytest.raises(DomainError, match="tol"):
@@ -518,6 +526,18 @@ def test_pmf_matches_enumerated_fixed_time():
 def test_pmf_rejects_nonpositive_time():
     with pytest.raises(DomainError):
         cover_time_pmf(SparsityModel(2, 0.5), 0)
+    # No double holds these t; past 4300 digits str(t) itself would raise.
+    for t in (10**400, 10**5000):
+        with pytest.raises(DomainError, match="fit in a double"):
+            cover_time_pmf(SparsityModel(2, 0.5), t)
+
+
+def test_coverage_probability_rejects_a_p_no_double_holds():
+    model = SparsityModel(2, 0.5)
+    assert coverage_probability(model, 10**300) == 1.0
+    for p in (10**400, 10**5000):
+        with pytest.raises(DomainError, match="p must fit in a double"):
+            coverage_probability(model, p)
 
 
 # ------------------------------------------------------------ threshold
@@ -609,6 +629,6 @@ def test_threshold_monotone_in_delta():
 
 def test_threshold_rejects_bad_delta():
     model = SparsityModel(3, 0.5)
-    for delta in (0.0, 1.0, -0.1, 1.5):
+    for delta in (0.0, 1.0, -0.1, 1.5, None, "x", 10**400):
         with pytest.raises(DomainError):
             coverage_threshold(model, delta)

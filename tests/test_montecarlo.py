@@ -147,6 +147,16 @@ def test_sample_cover_time_positive():
         assert sample_cover_time(model, stream) >= 1
 
 
+def test_sample_cover_time_refuses_a_clipped_draw():
+    # numpy clips a geometric draw past 2^63 to the int64 maximum; a cover
+    # time built from it would be a false, far too small value.
+    stream = _streams.spawn_generator(0, _streams.COVER_TRIAL, 0)
+    with pytest.raises(DomainError, match="int64"):
+        sample_cover_time(SparsityModel(3, 1e-300), stream)
+    with pytest.raises(DomainError, match="int64"):
+        estimate_expected_cover_time(SparsityModel(3, 1e-300), 5, 0)
+
+
 def test_column_process_agrees_with_geometric_shortcut():
     # Same distribution, different sampling paths: compare the two means
     # at 3 sigma of their combined standard error.

@@ -287,3 +287,9 @@ def test_read_instance_rejects_malformed(tmp_path):
     bad.write_text(garbled)
     with pytest.raises(DomainError):
         read_instance(bad)
+    # A well-formed body under a header outside the model's domain.
+    body = good.read_text().split("\n", 1)[1]
+    for header in ("2 3 5.0 9", "2 3 nan 9", "2 3 0.0 9", "2 3 0.5 -1", f"2 3 0.5 {10**23}"):
+        bad.write_text(f"{header}\n{body}")
+        with pytest.raises(DomainError, match="malformed instance header"):
+            read_instance(bad)
