@@ -11,7 +11,7 @@ Reproducibility contract: each trial's stream is a pure function of
 (seed, trial index) and each sweep point's sub-seed of (seed, p), via the
 stream-derivation scheme in _streams.  Identical (model, trials, seed)
 therefore give bit-identical estimates no matter how trials are chunked
-or parallelized.  The loops here take their streams and sub-seeds from
+or parallelized.  The estimators here take their streams and sub-seeds from
 _streams.trial_streams and _streams.trial_seeds, which derive them in
 batches under that same scheme; a stream they yield is valid only until
 the next trial's.

@@ -465,6 +465,10 @@ def test_coverage_probability_edges():
     assert coverage_probability(SparsityModel(5, 1.0), 0) == 0.0
     with pytest.raises(DomainError):
         coverage_probability(SparsityModel(5, 0.2), -1)
+    # A p no double holds is refused; 10**300 still rounds to coverage 1.
+    assert coverage_probability(SparsityModel(2, 0.5), 10**300) == 1.0
+    with pytest.raises(DomainError, match="p must fit in a double"):
+        coverage_probability(SparsityModel(2, 0.5), 10**400)
 
 
 def test_coverage_probability_monotone_and_bounded():
@@ -530,14 +534,6 @@ def test_pmf_rejects_nonpositive_time():
     for t in (10**400, 10**5000):
         with pytest.raises(DomainError, match="fit in a double"):
             cover_time_pmf(SparsityModel(2, 0.5), t)
-
-
-def test_coverage_probability_rejects_a_p_no_double_holds():
-    model = SparsityModel(2, 0.5)
-    assert coverage_probability(model, 10**300) == 1.0
-    for p in (10**400, 10**5000):
-        with pytest.raises(DomainError, match="p must fit in a double"):
-            coverage_probability(model, p)
 
 
 # ------------------------------------------------------------ threshold
