@@ -244,6 +244,66 @@ def test_values_pinned_bit_for_bit():
         assert [coverage_threshold(model, d) for d in (0.5, 0.01, 1e-300)] == [1, 1, 1]
 
 
+# phase_sum_raw at (n, theta), recorded from the per-row fsum implementation.
+# The points cover n = 1 and 2, n either side of 40 (where the row loop
+# gives way to numpy blocks), n either side of the block edges at 90 and
+# 146 rows, theta one ulp either side of the n log(1 - theta) = -700 branch
+# switch at n = 100 and 300, theta = 1e-12, 0.9995 and 0.999999, and the
+# benchmark's points with n <= 300.  The comments name the branch taken.
+PHASE_SUM_RAW_PINS = {
+    (1, 0.1): 10.000000000000002,  # linear
+    (1, 0.5): 2.0,  # linear
+    (2, 0.1): 15.263157894736846,  # linear
+    (2, 0.5): 3.333333333333333,  # linear
+    (2, 1e-12): 1500033183314.2542,  # linear
+    (2, 0.999999): 2.0000010000020003,  # linear
+    (39, 0.1): 65.93751428228585,  # linear
+    (40, 0.1): 66.95251691742105,  # linear
+    (41, 0.1): 67.9659990622727,  # linear
+    (39, 0.9999999904003429): 39.00000000959966,  # log
+    (41, 0.9999999763753602): 41.000000023624644,  # log
+    (89, 0.3): 93.75623876526353,  # linear
+    (90, 0.3): 94.75623876526355,  # linear
+    (91, 0.3): 95.75623876526355,  # linear
+    (146, 0.05): 215.3983644477809,  # linear
+    (147, 0.05): 216.39889606714965,  # linear
+    (148, 0.05): 217.399401092126,  # linear
+    (90, 0.99999): 90.0000100002,  # log
+    (91, 0.99999): 91.0000100002,  # log
+    (146, 0.995): 146.0050502518813,  # log
+    (147, 0.995): 147.0050502518813,  # log
+    (100, 0.9990881180344454): 100.00091354654158,  # linear
+    (100, 0.9990881180344455): 100.00091354654158,  # log
+    (100, 0.9990881180344456): 100.00091354654158,  # log
+    (300, 0.9030280321355949): 300.1178888089923,  # linear
+    (300, 0.903028032135595): 300.11788880899235,  # log
+    (300, 0.9030280321355951): 300.11788880899235,  # log
+    (50, 1e-12): 4501038510199.954,  # linear
+    (200, 1e-12): 5885332979310.546,  # linear
+    (50, 0.9995): 50.00050050025019,  # linear
+    (200, 0.9995): 200.00050050025018,  # log
+    (50, 0.999999): 50.000001000002,  # linear
+    (200, 0.999999): 200.000001000002,  # log
+    (3, 0.1): 18.953194795105862,  # linear
+    (100, 0.1): 127.0862459784709,  # linear
+    (100, 0.9995): 100.00050050025018,  # log
+    (64, 0.5): 65.6066951524153,  # linear
+    (250, 0.01): 757.0264786156094,  # linear
+    (300, 0.2): 309.55705738833217,  # linear
+}
+
+
+def test_phase_sum_raw_pinned_bit_for_bit():
+    for (n, theta), value in PHASE_SUM_RAW_PINS.items():
+        assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta)
+    # The comments above name the branch each point takes.
+    for n in (100, 300):
+        switch = -math.expm1(-700.0 / n)
+        below, above = math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)
+        assert n * SparsityModel(n, below).log_q >= coverage._UNDERFLOW_LOG
+        assert n * SparsityModel(n, above).log_q < coverage._UNDERFLOW_LOG
+
+
 def test_phase_sum_raw_refuses_unresolvable_complement():
     # 1 - theta rounds to 1.0 here, so the phase k = 0 wait would divide by
     # zero; the refusal points to the collapsed form, which still resolves.
