@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from rowcover import coverage
@@ -302,6 +303,63 @@ def test_phase_sum_raw_pinned_bit_for_bit():
         below, above = math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)
         assert n * SparsityModel(n, below).log_q >= coverage._UNDERFLOW_LOG
         assert n * SparsityModel(n, above).log_q < coverage._UNDERFLOW_LOG
+
+
+def test_phase_sum_raw_blocks_match_the_row_loop(monkeypatch):
+    # The numpy blocks against the per-row fsum loop they replace from n = 40,
+    # in both branches and across several block edges.
+    points = [(n, theta) for n in range(40, 400, 23) for theta in (1e-9, 0.02, 0.5, 0.97)]
+    points += [(n, -math.expm1(-750.0 / n)) for n in (40, 77, 146, 225, 300)]
+    blocked = [phase_sum_raw(SparsityModel(n, theta)) for n, theta in points]
+    monkeypatch.setattr(coverage, "_BLOCK_MIN_N", 10**9)
+    assert [phase_sum_raw(SparsityModel(n, theta)) for n, theta in points] == blocked
+
+
+def _padded_block(rows):
+    width = max(len(row) for row in rows)
+    return np.array([row + [0.0] * (width - len(row)) for row in rows])
+
+
+def test_row_sums_equal_fsum_and_fall_back_at_midpoints(monkeypatch):
+    fsum = math.fsum
+    fallbacks = []
+
+    def row_sums(block):
+        # coverage._row_sums(block), with the rows it sent to fsum counted.
+        fallbacks.clear()
+        monkeypatch.setattr(math, "fsum", lambda terms: fallbacks.append(1) or fsum(terms))
+        sums = coverage._row_sums(block)
+        monkeypatch.setattr(math, "fsum", fsum)
+        assert sums == [fsum(row) for row in block.tolist()]
+        return sums
+
+    stream = np.random.default_rng(20240517)
+    for width in (1, 2, 3, 17, 64, 301):
+        # Wide range: 2^-1000 to 2^20 within one row, then the same rows
+        # zero-padded past a random length.  These certify.
+        wide = stream.random((9, width)) * 2.0 ** stream.uniform(-1000.0, 20.0, (9, width))
+        row_sums(wide)
+        assert len(fallbacks) <= 1
+        lengths = stream.integers(0, width + 1, 9)
+        row_sums(np.where(np.arange(width) < lengths[:, None], wide, 0.0))
+        # Subnormal rows, beside a normal term and alone; half an ulp of a
+        # subnormal sum is no double, so the latter always go to fsum.
+        tiny = stream.integers(0, 2**40, (4, width)) * 5e-324
+        row_sums(tiny + np.where(np.arange(width) == 0, 1e-300, 0.0))
+        row_sums(tiny)
+    midpoints = [
+        [1.0, 2.0**-53],  # a tie, rounds to even 1.0
+        [1.0, 2.0**-53, 2.0**-106],  # just past the tie
+        [1.0 + 2.0**-52, 2.0**-53],  # a tie, rounds to even 1 + 2^-51
+        [2.0**-53, 1.0, 2.0**-53],  # two ties make an ulp
+        [1.0, 2.0**-54, 2.0**-54, 2.0**-160],
+        [3.0, 2.0**-52, 2.0**-1074],
+        [0.0],
+        [0.0, 0.0, 0.0],
+    ]
+    sums = row_sums(_padded_block(midpoints))
+    assert sums[:3] == [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51]
+    assert len(fallbacks) >= 3
 
 
 def test_phase_sum_raw_refuses_unresolvable_complement():
