@@ -22,12 +22,20 @@ independently, with gamma pinned to the double EULER_GAMMA below.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .coverage import SparsityModel, _complement_power, exact_expected_cover_time, harmonic
+from .coverage import (
+    _MAX_TAIL_TERMS,
+    SparsityModel,
+    _checked_model,
+    _complement_power,
+    exact_expected_cover_time,
+    harmonic,
+)
 from .errors import DomainError, checked_int, checked_real
 
 __all__ = [
@@ -115,7 +123,7 @@ def simple_lower_bound(model: SparsityModel) -> float:
     Every phase wait in the phase decomposition is at least
     1 / (1 - (1-theta)^n), and there are n phases.
     """
-    return model.n / _complement_power(model.theta, model.n, model.log_q)
+    return _checked_model(model).n / _complement_power(model.theta, model.n, model.log_q)
 
 
 def digamma_psi0(n: int) -> float:
@@ -129,7 +137,7 @@ def digamma_bound(model: SparsityModel) -> float:
     gamma + psi0(n+1) collapses to H_n, and ln(1-theta) < 0 makes the
     subtracted term positive, so this always exceeds n.
     """
-    n, theta = model.n, model.theta
+    n, theta = _checked_model(model).n, model.theta
     _refuse_degenerate("digamma_bound", theta)
     return n - (EULER_GAMMA + digamma_psi0(n)) / model.log_q
 
@@ -141,7 +149,7 @@ def digamma_approx_bound(model: SparsityModel) -> float:
     psi0(n+1); dividing a smaller numerator by the negative log keeps the
     result at or below digamma_bound.
     """
-    n, theta = model.n, model.theta
+    n, theta = _checked_model(model).n, model.theta
     _refuse_degenerate("digamma_approx_bound", theta)
     m = n + 1
     psi_estimate = math.log(m) - 1.0 / (2.0 * m) - 1.0 / (12.0 * m * m)
@@ -151,13 +159,22 @@ def digamma_approx_bound(model: SparsityModel) -> float:
 def log1m_taylor(theta: float, terms: int) -> float:
     """Partial Taylor sum theta + theta^2/2 + ... + theta^T/T for -ln(1-theta).
 
-    The omitted tail is bounded by theta^(T+1) / ((T+1)(1-theta)).
+    The omitted tail is bounded by theta^(T+1) / ((T+1)(1-theta)).  The sum
+    stops at the first theta^j that rounds to 0.0, since every later term
+    is 0.0 too; a T that needs more than 10^8 nonzero terms, with theta
+    near 1, raises DomainError.
     """
     theta = checked_real(theta, "theta")
     if not 0.0 < theta < 1.0:
         raise DomainError(f"log1m_taylor requires 0 < theta < 1, got {theta!r}")
     terms = checked_int(terms, "terms", 1)
-    return math.fsum(theta**j / j for j in range(1, terms + 1))
+    # theta^j is below 2^-1075, and rounds to 0.0, past j = -1075 ln 2 / ln theta.
+    if min(terms, -1075.0 * math.log(2.0) / math.log(theta)) > _MAX_TAIL_TERMS:
+        raise DomainError(
+            f"log1m_taylor needs more than {_MAX_TAIL_TERMS} nonzero terms at theta = {theta!r}"
+        )
+    powers = itertools.takewhile(bool, (theta**j for j in range(1, terms + 1)))
+    return math.fsum(power / j for j, power in enumerate(powers, 1))
 
 
 def small_theta_bound(model: SparsityModel) -> float:
@@ -167,7 +184,7 @@ def small_theta_bound(model: SparsityModel) -> float:
     -ln(1-theta); warns through SmallThetaRegimeWarning when theta exceeds
     SMALL_THETA_LIMIT and that factor is no longer close to 1.
     """
-    n, theta = model.n, model.theta
+    n, theta = _checked_model(model).n, model.theta
     _refuse_degenerate("small_theta_bound", theta)
     if theta > SMALL_THETA_LIMIT:
         warnings.warn(
@@ -186,7 +203,7 @@ def bound_report(model: SparsityModel) -> BoundReport:
     from small_theta_bound is suppressed here since the report is a survey,
     not an endorsement of any one bound.
     """
-    degenerate = model.theta == 1.0
+    degenerate = _checked_model(model).theta == 1.0
     if degenerate:
         dig = approx = small = None
     else:

@@ -125,6 +125,14 @@ class SparsityModel:
         return math.log1p(-self.theta) if self.theta < 1.0 else -math.inf
 
 
+def _checked_model(model: object) -> SparsityModel:
+    # The public functions that take a model refuse anything else up front,
+    # rather than fail on a missing attribute somewhere inside.
+    if not isinstance(model, SparsityModel):
+        raise DomainError(f"model must be a SparsityModel, got {type(model).__name__}")
+    return model
+
+
 @dataclass(frozen=True, slots=True)
 class CoverTimeSummary:
     """Expected cover time computed three ways.
@@ -338,7 +346,7 @@ def phase_sum_raw(model: SparsityModel) -> float:
     9.9% at 1e-16.  phase_sum_expectation computes the same number in O(n)
     without the cancellation; prefer it for anything but cross-checks.
     """
-    n, theta = model.n, model.theta
+    n, theta = _checked_model(model).n, model.theta
     if theta == 1.0:
         return float(n)
     if 1.0 - theta == 1.0:  # the phase k = 0 wait would be 1 / (1 - 1.0)
@@ -363,7 +371,7 @@ def phase_sum_expectation(model: SparsityModel) -> float:
     so both functions compute the same number; this one in O(n) stable
     operations.
     """
-    n, theta, log_q = model.n, model.theta, model.log_q
+    n, theta, log_q = _checked_model(model).n, model.theta, model.log_q
     terms = (1.0 / _complement_power(theta, k, log_q) for k in range(1, n + 1))
     return _finite_sum(terms, "the phase sum", theta)
 
@@ -391,6 +399,7 @@ def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> Cover
     tol, and the bound achieved is reported.  A tol that would need more
     than 10^8 terms raises DomainError.
     """
+    _checked_model(model)
     tol = checked_real(tol, "tol")
     if not tol > 0.0 or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite float, got {tol!r}")
@@ -434,7 +443,7 @@ def inclusion_exclusion_expectation(model: SparsityModel) -> float:
     cross-check for small n only; n beyond 30 is refused rather than
     returning digits that are mostly cancellation noise.
     """
-    n, theta = model.n, model.theta
+    n, theta = _checked_model(model).n, model.theta
     if n > _INCLUSION_EXCLUSION_MAX_N:
         raise DomainError(
             f"inclusion-exclusion loses all precision for n = {n} > "
@@ -451,8 +460,8 @@ def inclusion_exclusion_expectation(model: SparsityModel) -> float:
 
 def coverage_probability(model: SparsityModel, p: int) -> float:
     """P(every row covered within p columns) = (1 - (1-theta)^p)^n."""
+    n = _checked_model(model).n
     p = checked_int(p, "p", 0)
-    n = model.n
     if p == 0:
         return 0.0
     # int * float converts the int first, so this is p * log_q, refusing
@@ -467,6 +476,7 @@ def coverage_probability(model: SparsityModel, p: int) -> float:
 
 def cover_time_pmf(model: SparsityModel, t: int) -> float:
     """P(T = t) as the difference of consecutive coverage probabilities."""
+    _checked_model(model)
     t = checked_int(t, "t", 1)
     return coverage_probability(model, t) - coverage_probability(model, t - 1)
 
@@ -484,6 +494,7 @@ def coverage_threshold(model: SparsityModel, delta: float) -> int:
     budget rather than from delta.  A candidate above 2**53, which doubles
     cannot resolve, raises DomainError.
     """
+    _checked_model(model)
     delta = checked_real(delta, "delta")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
-from .coverage import SparsityModel, coverage_probability
+from .coverage import _MAX_TAIL_TERMS, SparsityModel, coverage_probability
 from .errors import DomainError, checked_int
 
 __all__ = [
@@ -119,7 +119,9 @@ def sample_cover_time(
     literally as a model-fidelity cross-check; the two draw from different
     stream positions but identical distributions.  A geometric draw that
     numpy clipped at the int64 maximum raises DomainError rather than
-    returning a cover time that is too small.
+    returning a cover time that is too small, and so does a column process
+    still short of full coverage after 10^8 columns, rather than running
+    for about 1/theta columns.
     """
     n, theta = model.n, model.theta
     if not column_process:
@@ -130,6 +132,10 @@ def sample_cover_time(
     covered = np.zeros(n, dtype=bool)
     columns = 0
     while not covered.all():
+        if columns == _MAX_TAIL_TERMS:
+            raise DomainError(
+                f"the column process passed {_MAX_TAIL_TERMS} columns at theta = {theta!r}"
+            )
         covered |= stream.random(n) < theta
         columns += 1
     return columns

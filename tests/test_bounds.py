@@ -384,6 +384,19 @@ def test_log1m_taylor_rejects_bad_arguments():
             log1m_taylor(theta, 3)
 
 
+def test_log1m_taylor_stops_at_the_first_zero_power():
+    # 0.5^j is 0.0 from j = 1075 on, so every T past that is the same sum,
+    # at once; it used to take 2.7 s at T = 10^7 and minutes at 10^9.
+    truncated = math.fsum(0.5**j / j for j in range(1, 1101))
+    for terms in (1100, 10**7, 10**9, 10**100):
+        assert log1m_taylor(0.5, terms) == truncated
+    assert log1m_taylor(5e-324, 10**9) == 5e-324
+    # Near theta = 1 the powers stay nonzero for about 10^15 terms.
+    with pytest.raises(DomainError, match="nonzero terms"):
+        log1m_taylor(1.0 - 1e-12, 10**9)
+    assert log1m_taylor(1.0 - 1e-12, 10) == math.fsum((1.0 - 1e-12) ** j / j for j in range(1, 11))
+
+
 # ----------------------------------------------------------- small theta
 
 
@@ -475,6 +488,12 @@ def test_bound_report_degenerate_density_markers():
 def test_bound_report_validates_orderings():
     from rowcover import BoundReport
 
+    # Anything but a SparsityModel is refused by every bound that takes one.
+    for function in (theorem_bound, simple_lower_bound, digamma_bound, digamma_approx_bound,
+                     small_theta_bound, bound_report):
+        for wrong in (None, "x", (3, 0.5), 3):
+            with pytest.raises(DomainError, match="SparsityModel"):
+                function(wrong)
     model = SparsityModel(3, 0.5)
     good = bound_report(model)
     # manual construction violating either ordering must be rejected

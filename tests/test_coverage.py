@@ -140,6 +140,16 @@ def test_model_validation():
     model = SparsityModel(int(sys.float_info.max), 0.5)
     assert coverage_probability(model, 5) == 0.0
     assert coverage_threshold(model, 0.01) == 1031
+    # Anything but a SparsityModel is refused by every function that takes one.
+    entries = [
+        (phase_sum_raw, ()), (phase_sum_expectation, ()), (exact_expected_cover_time, ()),
+        (inclusion_exclusion_expectation, ()), (coverage_probability, (3,)),
+        (cover_time_pmf, (3,)), (coverage_threshold, (0.1,)),
+    ]
+    for function, args in entries:
+        for wrong in (None, "x", (3, 0.5), 3):
+            with pytest.raises(DomainError, match="SparsityModel"):
+                function(wrong, *args)
 
 
 def test_model_log_q():

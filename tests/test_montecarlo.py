@@ -33,7 +33,7 @@ from rowcover import (
     sample_cover_time,
     sample_indicator_pattern,
 )
-from rowcover import _streams
+from rowcover import _streams, montecarlo
 
 
 # ----------------------------------------------------------- determinism
@@ -155,6 +155,22 @@ def test_sample_cover_time_refuses_a_clipped_draw():
         sample_cover_time(SparsityModel(3, 1e-300), stream)
     with pytest.raises(DomainError, match="int64"):
         estimate_expected_cover_time(SparsityModel(3, 1e-300), 5, 0)
+
+
+def test_column_process_refuses_past_the_column_ceiling(monkeypatch):
+    # At theta = 1e-300 a row is covered only by a uniform draw of exactly
+    # 0.0, so the column process used to run on for about 2^53 columns.
+    # The ceiling is 10^8 columns; lowered here, it is reached at once.
+    monkeypatch.setattr(montecarlo, "_MAX_TAIL_TERMS", 1000)
+    stream = _streams.spawn_generator(0, _streams.COVER_TRIAL, 0)
+    with pytest.raises(DomainError, match="1000 columns"):
+        sample_cover_time(SparsityModel(2, 1e-300), stream, column_process=True)
+    # Below the ceiling nothing changes.
+    stream = _streams.spawn_generator(3, _streams.COVER_TRIAL, 0)
+    columns = sample_cover_time(SparsityModel(4, 0.01), stream, column_process=True)
+    monkeypatch.setattr(montecarlo, "_MAX_TAIL_TERMS", columns)
+    stream = _streams.spawn_generator(3, _streams.COVER_TRIAL, 0)
+    assert sample_cover_time(SparsityModel(4, 0.01), stream, column_process=True) == columns
 
 
 def test_column_process_agrees_with_geometric_shortcut():
