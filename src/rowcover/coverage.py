@@ -284,9 +284,9 @@ def _inner_complement_log(n: int, log_theta: float, log_q: float) -> list[float]
         peaks = logs.max(axis=1)
         shifted = logs - peaks[:, None]
         kept = shifted >= _EXP_UNDERFLOW
-        values = shifted[kept].tolist()
+        values = shifted[kept]
         terms = np.zeros_like(shifted)
-        terms[kept] = np.fromiter(map(math.exp, values), float, len(values))
+        terms[kept] = np.fromiter(map(math.exp, memoryview(values)), float, values.size)
         for peak, total in zip(peaks.tolist(), _row_sums(terms)):
             complements.append(-math.expm1(peak + math.log(total)))
     return complements
