@@ -307,7 +307,7 @@ PHASE_SUM_RAW_PINS = {
 def test_phase_sum_raw_pinned_bit_for_bit():
     for (n, theta), value in PHASE_SUM_RAW_PINS.items():
         assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta)
-    # The comments above name the branch each point takes.
+    # The points either side of the switch take the branches named above.
     for n in (100, 300):
         switch = -math.expm1(-700.0 / n)
         below, above = math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)
