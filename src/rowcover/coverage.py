@@ -245,6 +245,8 @@ def _row_sums(block: np.ndarray) -> list[float]:
     hi = top + rest
     rest_virtual = hi - top
     lo = (top - (hi - rest_virtual)) + (rest - rest_virtual)
+    # 4 width u is twice gamma_width, which covers the rounding of sum|low|
+    # itself; width * 5e-324 covers a product that underflows.
     bound = np.abs(low).sum(axis=1) * (width * 2.0**-51) + width * 5e-324
     certified = np.abs(lo) + bound < (hi - np.nextafter(hi, 0.0)) * 0.5
     sums = hi.tolist()
