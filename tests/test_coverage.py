@@ -11,9 +11,11 @@ constant below was produced by the code under test.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -36,6 +38,7 @@ from rowcover import (
     theorem_bound,
 )
 
+DATA_DIR = Path(__file__).parent / "data"
 THETA_GRID = (0.01, 0.1, 0.3, 0.5, 0.9, 1.0)
 
 
@@ -255,12 +258,16 @@ def test_values_pinned_bit_for_bit():
         assert [coverage_threshold(model, d) for d in (0.5, 0.01, 1e-300)] == [1, 1, 1]
 
 
-# phase_sum_raw at (n, theta), recorded from the per-row fsum implementation.
-# The points cover n = 1 and 2, n either side of 40 (where the row loop
-# gives way to numpy blocks), n either side of the block edges at 90 and
+# phase_sum_raw at (n, theta), recorded from an implementation that summed
+# each binomial row with math.fsum, one row at a time.  The points cover
+# n = 1 and 2, n = 39 to 41, n either side of the block edges at 90 and
 # 146 rows, theta one ulp either side of the n log(1 - theta) = -700 branch
 # switch at n = 100 and 300, theta = 1e-12, 0.9995 and 0.999999, and the
 # benchmark's points with n <= 300.  The comments name the branch taken.
+# data/phase_sum_raw_pins.json holds [n, theta, value, branch] rows from
+# the same per-row implementation: every n from 1 to 39, and every 23rd n
+# from 40 to 394, at theta in {1e-9, 0.02, 0.5, 0.97}, plus the log branch
+# at theta = -expm1(-750/n) for n = 1 to 39, 40, 77, 146, 225 and 300.
 PHASE_SUM_RAW_PINS = {
     (1, 0.1): 10.000000000000002,  # linear
     (1, 0.5): 2.0,  # linear
@@ -307,22 +314,17 @@ PHASE_SUM_RAW_PINS = {
 def test_phase_sum_raw_pinned_bit_for_bit():
     for (n, theta), value in PHASE_SUM_RAW_PINS.items():
         assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta)
+    pins = json.loads((DATA_DIR / "phase_sum_raw_pins.json").read_text(encoding="utf-8"))
+    for n, theta, value, branch in pins:
+        model = SparsityModel(n, theta)
+        assert (n * model.log_q < coverage._UNDERFLOW_LOG) == (branch == "log"), (n, theta)
+        assert phase_sum_raw(model) == value, (n, theta)
     # The points either side of the switch take the branches named above.
     for n in (100, 300):
         switch = -math.expm1(-700.0 / n)
         below, above = math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)
         assert n * SparsityModel(n, below).log_q >= coverage._UNDERFLOW_LOG
         assert n * SparsityModel(n, above).log_q < coverage._UNDERFLOW_LOG
-
-
-def test_phase_sum_raw_blocks_match_the_row_loop(monkeypatch):
-    # The numpy blocks against the per-row fsum loop they replace from n = 40,
-    # in both branches and across several block edges.
-    points = [(n, theta) for n in range(40, 400, 23) for theta in (1e-9, 0.02, 0.5, 0.97)]
-    points += [(n, -math.expm1(-750.0 / n)) for n in (40, 77, 146, 225, 300)]
-    blocked = [phase_sum_raw(SparsityModel(n, theta)) for n, theta in points]
-    monkeypatch.setattr(coverage, "_BLOCK_MIN_N", 10**9)
-    assert [phase_sum_raw(SparsityModel(n, theta)) for n, theta in points] == blocked
 
 
 def _padded_block(rows):
