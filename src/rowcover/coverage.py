@@ -81,11 +81,8 @@ _EM_REMAINDER = 26.0 / 720.0
 _MAX_TAIL_TERMS = 10**8
 
 # phase_sum_raw sums its binomial rows in numpy blocks of at most this many
-# cells (rows x width), which bounds the memory of one call.  Below
-# _BLOCK_MIN_N it sums them one row at a time instead: numpy's fixed cost
-# per block exceeds the whole row loop there.
+# cells (rows x width), which bounds the memory of one call.
 _BLOCK_CELLS = 2**13
-_BLOCK_MIN_N = 40
 
 # math.exp(x) is exactly 0.0 below this x, and a sum ignores zeros.
 _EXP_UNDERFLOW = -745.2
@@ -259,21 +256,10 @@ def _inner_complement_log(n: int, log_theta: float, log_q: float) -> list[float]
     # 1 - sum_{r=0}^{k} C(k,r) theta^r (1-theta)^(n-r) for k = 0 .. n-1, each
     # term computed as exp(ln k! - ln r! - ln (k-r)! + r ln theta +
     # (n-r) ln(1-theta)) and combined by logsumexp; complement via expm1.
-    # The blocks form the logs in numpy in the row loop's operation order,
-    # but keep math.exp: np.exp rounds differently on some arguments.
-    log_fact = [math.lgamma(j + 1) for j in range(n + 1)]
+    # The blocks form the logs in numpy in the pinned per-row operation
+    # order, but keep math.exp: np.exp rounds differently on some arguments.
+    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
     complements = []
-    if n < _BLOCK_MIN_N:
-        for k in range(n):
-            logs = [
-                log_fact[k] - log_fact[r] - log_fact[k - r] + r * log_theta + (n - r) * log_q
-                for r in range(k + 1)
-            ]
-            peak = max(logs)
-            log_sum = peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
-            complements.append(-math.expm1(log_sum))
-        return complements
-    log_fact = np.array(log_fact)
     for k0, k1 in _row_blocks(n):
         k = np.arange(k0, k1)[:, None]
         r = np.arange(k1)
@@ -297,21 +283,12 @@ def _inner_complement_log(n: int, log_theta: float, log_q: float) -> list[float]
 def _inner_complement_linear(n: int, theta: float) -> list[float]:
     # The same complements from term_0 = (1-theta)^n and the ratio recurrence
     # term_{r+1} = term_r * (k-r)/(r+1) * theta/(1-theta).  In the blocks,
-    # np.multiply.accumulate takes the row loop's products in its order, and
+    # np.multiply.accumulate takes a row's products in order from r = 0, and
     # the factor is 0 past r = k, so a row's later cells are 0.
     q = 1.0 - theta
     ratio = theta / q
     q_n = q**n
     complements = []
-    if n < _BLOCK_MIN_N:
-        for k in range(n):
-            term = q_n
-            terms = [term]
-            for r in range(k):
-                term *= (k - r) / (r + 1) * ratio
-                terms.append(term)
-            complements.append(1.0 - math.fsum(terms))
-        return complements
     for k0, k1 in _row_blocks(n):
         k = np.arange(k0, k1, dtype=float)[:, None]
         r = np.arange(k1 - 1, dtype=float)
@@ -334,13 +311,13 @@ def phase_sum_raw(model: SparsityModel) -> float:
     theta/(1-theta), or in log space where (1-theta)^n would underflow.
 
     This form costs O(n^2): more than 10^8 terms n(n+1)/2, i.e. n >= 14142,
-    raise DomainError.  From n = 40 the rows are built and summed in numpy
-    blocks of at most 8192 cells, in the same operation order as a row
-    loop.  Each row sum is the correctly rounded one that math.fsum gives:
-    an error-free split certifies it, and the rare row it cannot certify,
-    next to a rounding midpoint, goes to fsum.  So the result has the bits
-    of the row loop, in 8 to 12 times less time at n = 1000 to 2000; the
-    log-space rows still call math.exp once per term.
+    raise DomainError.  At every n the rows are built and summed in numpy
+    blocks of at most 8192 cells, each row's terms formed in the order a
+    row-at-a-time loop forms them.  Each row sum is the correctly rounded
+    one that math.fsum gives: an error-free split certifies it, and the
+    rare row it cannot certify, next to a rounding midpoint, goes to fsum.
+    So the result has the bits of summing each row with fsum, which the
+    tests pin; the log-space rows still call math.exp once per term.
 
     This form also drifts at small theta, where 1 - sum cancels.  Its
     relative gap to phase_sum_expectation at n = 2 is 3.2e-11 at

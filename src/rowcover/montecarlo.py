@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
-from .coverage import _MAX_TAIL_TERMS, SparsityModel, coverage_probability
+from .coverage import _MAX_TAIL_TERMS, SparsityModel, _checked_model, coverage_probability
 from .errors import DomainError, checked_int
 
 __all__ = [
@@ -123,6 +123,10 @@ def sample_cover_time(
     still short of full coverage after 10^8 columns, rather than running
     for about 1/theta columns.
     """
+    # Runs once per trial, so the valid case costs one isinstance test each.
+    if not (isinstance(model, SparsityModel) and isinstance(stream, np.random.Generator)):
+        _checked_model(model)
+        raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
     n, theta = model.n, model.theta
     if not column_process:
         cover_time = int(stream.geometric(theta, size=n).max())
@@ -147,6 +151,7 @@ def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndar
     This is the package-wide pattern law: the omf module's sparse matrices
     place their nonzeros at exactly these positions for the same inputs.
     """
+    _checked_model(model)
     p = checked_int(p, "p", 0)
     seed = _streams.checked_seed(seed)
     stream = _streams.spawn_generator(seed, _streams.PATTERN)
@@ -182,6 +187,7 @@ def estimate_expected_cover_time(
     model: SparsityModel, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Sample mean of `trials` independent cover times with a normal CI."""
+    _checked_model(model)
     trials = checked_int(trials, "trials", 2)  # two, for a confidence interval
     seed = _streams.checked_seed(seed)
     streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
@@ -196,6 +202,7 @@ def estimate_coverage_probability(
     model: SparsityModel, p: int, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Fraction of n x p patterns with no all-zero row, with a Wilson CI."""
+    _checked_model(model)
     p = checked_int(p, "p", 0)
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
@@ -215,6 +222,7 @@ def phase_sweep(
     isolation and inserting or removing grid points never shifts the
     others.
     """
+    _checked_model(model)
     p_min = checked_int(p_min, "p_min", 0)
     p_max = checked_int(p_max, "p_max", 0)
     if p_max < p_min:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _streams
-from .coverage import SparsityModel
+from .coverage import SparsityModel, _checked_model
 from .errors import DomainError, checked_int
 from .montecarlo import MonteCarloEstimate, _proportion_estimate, sample_indicator_pattern
 
@@ -126,6 +126,7 @@ def sample_sparse_matrix(model: SparsityModel, p: int, seed: int) -> np.ndarray:
     values from a separate stream, so the pattern is unchanged by how the
     values are drawn and matches sample_indicator_pattern exactly.
     """
+    _checked_model(model)
     p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
     pattern = sample_indicator_pattern(model, p, seed)
@@ -188,6 +189,8 @@ def write_instance(instance: OmfInstance, path: str | Path) -> None:
     in that order, one row per line, entries whitespace-separated and
     printed with full round-trip precision.
     """
+    if not isinstance(instance, OmfInstance):
+        raise DomainError(f"instance must be an OmfInstance, got {type(instance).__name__}")
     lines = [f"{instance.n} {instance.p} {instance.theta!r} {instance.seed}"]
     for matrix in (instance.v, instance.x, instance.y):
         for row in matrix:

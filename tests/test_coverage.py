@@ -31,11 +31,18 @@ from rowcover import (
     coverage_threshold,
     cover_time_pmf,
     exact_expected_cover_time,
+    estimate_coverage_probability,
+    estimate_expected_cover_time,
     inclusion_exclusion_expectation,
     phase_sum_expectation,
     phase_sum_raw,
+    phase_sweep,
+    sample_cover_time,
+    sample_indicator_pattern,
+    sample_sparse_matrix,
     simple_lower_bound,
     theorem_bound,
+    write_instance,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -117,7 +124,7 @@ def test_markov_oracle_three_row_half_density_is_twenty_two_sevenths():
 # ----------------------------------------------------------------- model
 
 
-def test_model_validation():
+def test_model_validation(tmp_path):
     with pytest.raises(DomainError):
         SparsityModel(0, 0.5)
     with pytest.raises(DomainError):
@@ -148,11 +155,20 @@ def test_model_validation():
         (phase_sum_raw, ()), (phase_sum_expectation, ()), (exact_expected_cover_time, ()),
         (inclusion_exclusion_expectation, ()), (coverage_probability, (3,)),
         (cover_time_pmf, (3,)), (coverage_threshold, (0.1,)),
+        (sample_cover_time, (np.random.default_rng(0),)), (sample_indicator_pattern, (3, 0)),
+        (estimate_expected_cover_time, (10, 0)), (estimate_coverage_probability, (3, 10, 0)),
+        (phase_sweep, (1, 3, 10, 0)), (sample_sparse_matrix, (3, 0)),
     ]
     for function, args in entries:
         for wrong in (None, "x", (3, 0.5), 3):
             with pytest.raises(DomainError, match="SparsityModel"):
                 function(wrong, *args)
+    # So are a stream that is not a numpy Generator and an instance that is
+    # not an OmfInstance.
+    with pytest.raises(DomainError, match="Generator"):
+        sample_cover_time(SparsityModel(3, 0.5), None)
+    with pytest.raises(DomainError, match="OmfInstance"):
+        write_instance(None, tmp_path / "instance.txt")
 
 
 def test_model_log_q():
@@ -266,7 +282,7 @@ def test_values_pinned_bit_for_bit():
 # benchmark's points with n <= 300.  The comments name the branch taken.
 # data/phase_sum_raw_pins.json holds [n, theta, value, branch] rows from
 # the same per-row implementation: every n from 1 to 39, and every 23rd n
-# from 40 to 394, at theta in {1e-9, 0.02, 0.5, 0.97}, plus the log branch
+# from 40 to 385, at theta in {1e-9, 0.02, 0.5, 0.97}, plus the log branch
 # at theta = -expm1(-750/n) for n = 1 to 39, 40, 77, 146, 225 and 300.
 PHASE_SUM_RAW_PINS = {
     (1, 0.1): 10.000000000000002,  # linear
