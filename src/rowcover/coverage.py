@@ -256,8 +256,9 @@ def _inner_complement_log(n: int, log_theta: float, log_q: float) -> list[float]
     # 1 - sum_{r=0}^{k} C(k,r) theta^r (1-theta)^(n-r) for k = 0 .. n-1, each
     # term computed as exp(ln k! - ln r! - ln (k-r)! + r ln theta +
     # (n-r) ln(1-theta)) and combined by logsumexp; complement via expm1.
-    # The blocks form the logs in numpy in the pinned per-row operation
-    # order, but keep math.exp: np.exp rounds differently on some arguments.
+    # The logs are formed left to right as written, the order the pinned
+    # values were computed in, but math.exp stays: np.exp rounds some
+    # arguments differently.
     log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
     complements = []
     for k0, k1 in _row_blocks(n):
@@ -311,9 +312,9 @@ def phase_sum_raw(model: SparsityModel) -> float:
     theta/(1-theta), or in log space where (1-theta)^n would underflow.
 
     This form costs O(n^2): more than 10^8 terms n(n+1)/2, i.e. n >= 14142,
-    raise DomainError.  At every n the rows are built and summed in numpy
-    blocks of at most 8192 cells, each row's terms formed in the order a
-    row-at-a-time loop forms them.  Each row sum is the correctly rounded
+    raise DomainError.  The rows are built and summed in numpy blocks of at
+    most 8192 cells, each row's terms formed in the order of a per-row
+    recurrence.  Each row sum is the correctly rounded
     one that math.fsum gives: an error-free split certifies it, and the
     rare row it cannot certify, next to a rounding midpoint, goes to fsum.
     So the result has the bits of summing each row with fsum, which the
