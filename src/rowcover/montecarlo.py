@@ -123,10 +123,9 @@ def sample_cover_time(
     still short of full coverage after 10^8 columns, rather than running
     for about 1/theta columns.
     """
-    # Runs once per trial, so the valid case costs one isinstance test each.
-    # np.random is looked up here, not imported by name: numpy loads it
-    # lazily, and loading it on import costs callers that never sample
-    # about 2 MB and 10 ms.
+    # Once per trial, so the valid case costs one isinstance test each.  numpy
+    # loads np.random lazily; importing Generator by name would cost callers
+    # that never sample about 2 MB and 10 ms.
     if not (isinstance(model, SparsityModel) and isinstance(stream, np.random.Generator)):
         _checked_model(model)
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
