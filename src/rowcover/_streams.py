@@ -8,12 +8,19 @@ so results are bit-reproducible regardless of execution order, chunking,
 or worker count: any scheduler that assigns trial t its stream gets the
 same numbers.
 
-spawn_generator and derive_seed address one stream.  Per-trial loops use
-trial_streams and trial_seeds instead, which produce the very same
-streams and sub-seeds for a run of consecutive indices: the Philox keys
-are hashed for a block of indices in one numpy pass (_trial_keys), and a
-single Philox generator is re-keyed for each trial rather than built
-anew.  The scheme itself is unchanged; only the cost of following it is.
+A sub-seed is a plain unsigned 64-bit seed for a child computation that
+takes a seed argument of its own (sweep points, per-trial instances), so
+its streams chain through the same derivation tree.  The sub-seed for
+(seed, tag, t) is
+
+    SeedSequence(entropy=seed, spawn_key=(tag, t)).generate_state(1, np.uint64)[0]
+
+spawn_generator addresses one stream.  Per-trial loops use trial_streams
+and trial_seeds, which produce the very same streams, and the sub-seeds,
+for a run of consecutive indices: the Philox keys are hashed for a block
+of indices in one numpy pass (_trial_keys), and a single Philox generator
+is re-keyed for each trial rather than built anew.  The scheme itself is
+unchanged; only the cost of following it is.
 
 Path tags are centralized here so no two consumers can collide.
 """
@@ -67,17 +74,6 @@ def spawn_generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def derive_seed(seed: int, *path: int) -> int:
-    """Fold (seed, *path) into a plain unsigned 64-bit sub-seed.
-
-    Used where a child computation takes a seed argument of its own (sweep
-    points, per-trial instances) so its streams chain through the same
-    derivation tree.
-    """
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=path)
-    return int(sequence.generate_state(1, np.uint64)[0])
-
-
 def _trial_keys(
     seed: int, tag: int, start: int, stop: int
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -86,7 +82,7 @@ def _trial_keys(
     Yields blocks of at most _BLOCK indices in order, each as the lists of
     first and second key words; (key0[i], key1[i]) for index t equals
     SeedSequence(entropy=seed, spawn_key=(tag, t)).generate_state(2,
-    np.uint64), and key0[i] alone is derive_seed(seed, tag, t).
+    np.uint64), and key0[i] alone is the sub-seed for (seed, tag, t).
 
     A 64-bit seed and a one-word tag assemble to the entropy words
     [lo, hi, 0, 0, tag, t], and SeedSequence mixes them in order with hash
@@ -156,6 +152,11 @@ def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Genera
 
 
 def trial_seeds(seed: int, tag: int, start: int, stop: int) -> Iterator[int]:
-    """The sub-seeds derive_seed(seed, tag, t) for t in range(start, stop), in order."""
+    """The sub-seeds for (seed, tag, t), t in range(start, stop), in order.
+
+    Each is, as an int,
+
+        SeedSequence(entropy=seed, spawn_key=(tag, t)).generate_state(1, np.uint64)[0]
+    """
     for key0, _ in _trial_keys(seed, tag, start, stop):
         yield from key0

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
-from .coverage import _MAX_TAIL_TERMS, SparsityModel, _checked_model, coverage_probability
+from .coverage import SparsityModel, _checked_model, coverage_probability
 from .errors import DomainError, checked_int
 
 __all__ = [
@@ -105,23 +105,14 @@ class PhaseCurve:
                 raise DomainError("analytic coverage must be nondecreasing in p")
 
 
-def sample_cover_time(
-    model: SparsityModel,
-    stream: np.random.Generator,
-    *,
-    column_process: bool = False,
-) -> int:
+def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     """One cover time: columns until every row has seen a nonzero entry.
 
-    The default samples each row's first-success column directly (the
-    cover time is the max of n geometric(theta) variables) in O(n).  With
-    column_process=True the column-by-column process is simulated
-    literally as a model-fidelity cross-check; the two draw from different
-    stream positions but identical distributions.  A geometric draw that
-    numpy clipped at the int64 maximum raises DomainError rather than
-    returning a cover time that is too small, and so does a column process
-    still short of full coverage after 10^8 columns, rather than running
-    for about 1/theta columns.
+    Row i is first covered at a geometric(theta) column, independently of
+    the other rows, so the cover time is the maximum of n geometric draws,
+    sampled in O(n).  A draw that numpy clipped at the int64 maximum
+    raises DomainError rather than returning a cover time that is too
+    small.
     """
     # Once per trial, so the valid case costs one isinstance test each.  numpy
     # loads np.random lazily; importing Generator by name would cost callers
@@ -129,22 +120,10 @@ def sample_cover_time(
     if not (isinstance(model, SparsityModel) and isinstance(stream, np.random.Generator)):
         _checked_model(model)
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
-    n, theta = model.n, model.theta
-    if not column_process:
-        cover_time = int(stream.geometric(theta, size=n).max())
-        if cover_time == _CLIPPED_DRAW:
-            raise DomainError(f"theta = {theta!r} clips a geometric draw at the int64 maximum")
-        return cover_time
-    covered = np.zeros(n, dtype=bool)
-    columns = 0
-    while not covered.all():
-        if columns == _MAX_TAIL_TERMS:
-            raise DomainError(
-                f"the column process passed {_MAX_TAIL_TERMS} columns at theta = {theta!r}"
-            )
-        covered |= stream.random(n) < theta
-        columns += 1
-    return columns
+    cover_time = int(stream.geometric(model.theta, size=model.n).max())
+    if cover_time == _CLIPPED_DRAW:
+        raise DomainError(f"theta = {model.theta!r} clips a geometric draw at the int64 maximum")
+    return cover_time
 
 
 def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndarray:

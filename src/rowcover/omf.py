@@ -17,6 +17,7 @@ checked.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,7 +145,7 @@ def assemble_instance(n: int, p: int, theta: float, seed: int) -> OmfInstance:
     v = random_orthogonal(n, seed)
     x = sample_sparse_matrix(model, p, seed)
     y = v @ x
-    return OmfInstance(n=n, p=p, theta=model.theta, v=v, x=x, y=y, seed=seed)
+    return OmfInstance(n=model.n, p=p, theta=model.theta, v=v, x=x, y=y, seed=seed)
 
 
 def row_coverage_check(x: np.ndarray) -> CoverageReport:
@@ -156,6 +157,8 @@ def row_coverage_check(x: np.ndarray) -> CoverageReport:
     matrix = np.asarray(x)
     if matrix.ndim != 2 or matrix.size == 0:
         raise DomainError(f"expected a nonempty 2-d matrix, got shape {matrix.shape}")
+    if matrix.dtype.kind not in "biufc":  # no string equals 0, so strings would read as covered
+        raise DomainError(f"expected a numeric matrix, got dtype {matrix.dtype}")
     counts = (matrix != 0).sum(axis=1)
     uncovered = np.flatnonzero(counts == 0)
     return CoverageReport(
@@ -182,6 +185,12 @@ def coverage_experiment(
     return _proportion_estimate(outcomes, trials, seed)
 
 
+def _checked_path(path: object) -> Path:
+    if not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+    return Path(path)
+
+
 def write_instance(instance: OmfInstance, path: str | Path) -> None:
     """Dump an instance as plain text.
 
@@ -191,16 +200,17 @@ def write_instance(instance: OmfInstance, path: str | Path) -> None:
     """
     if not isinstance(instance, OmfInstance):
         raise DomainError(f"instance must be an OmfInstance, got {type(instance).__name__}")
+    path = _checked_path(path)
     lines = [f"{instance.n} {instance.p} {instance.theta!r} {instance.seed}"]
     for matrix in (instance.v, instance.x, instance.y):
         for row in matrix:
             lines.append(" ".join(repr(float(value)) for value in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_instance(path: str | Path) -> OmfInstance:
     """Read an instance written by write_instance, revalidating its algebra."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _checked_path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line.strip()]
     try:
         n_text, p_text, theta_text, seed_text = lines[0].split()

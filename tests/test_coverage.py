@@ -26,6 +26,7 @@ from rowcover import (
     CoverTimeSummary,
     DomainError,
     SparsityModel,
+    assemble_instance,
     classic_harmonic_sum,
     coverage_probability,
     coverage_threshold,
@@ -37,6 +38,7 @@ from rowcover import (
     phase_sum_expectation,
     phase_sum_raw,
     phase_sweep,
+    read_instance,
     sample_cover_time,
     sample_indicator_pattern,
     sample_sparse_matrix,
@@ -169,6 +171,16 @@ def test_model_validation(tmp_path):
         sample_cover_time(SparsityModel(3, 0.5), None)
     with pytest.raises(DomainError, match="OmfInstance"):
         write_instance(None, tmp_path / "instance.txt")
+    # The instance file functions refuse a path that is not a str or
+    # os.PathLike; a file system error still propagates as an OSError.
+    instance = assemble_instance(1, 1, 1.0, 0)
+    with pytest.raises(DomainError, match="path"):
+        write_instance(instance, None)
+    for path in (None, 3):
+        with pytest.raises(DomainError, match="path"):
+            read_instance(path)
+    with pytest.raises(FileNotFoundError):
+        read_instance(str(tmp_path / "missing.txt"))
 
 
 def test_model_log_q():

@@ -33,7 +33,7 @@ from rowcover import (
     sample_cover_time,
     sample_indicator_pattern,
 )
-from rowcover import _streams, montecarlo
+from rowcover import _streams
 
 
 # ----------------------------------------------------------- determinism
@@ -133,11 +133,23 @@ def test_distinct_seeds_give_distinct_samples():
 # ------------------------------------------------------ cover-time sampling
 
 
+def _column_process(model: SparsityModel, stream: np.random.Generator) -> int:
+    # The cover time simulated literally, one column of Bernoulli(theta)
+    # entries at a time: the reference for sample_cover_time's geometric
+    # shortcut, which draws from other stream positions but the same law.
+    covered = np.zeros(model.n, dtype=bool)
+    columns = 0
+    while not covered.all():
+        covered |= stream.random(model.n) < model.theta
+        columns += 1
+    return columns
+
+
 def test_sample_cover_time_dense_is_always_one():
     stream = _streams.spawn_generator(5, _streams.COVER_TRIAL, 0)
     assert sample_cover_time(SparsityModel(1, 1.0), stream) == 1
     assert sample_cover_time(SparsityModel(3, 1.0), stream) == 1
-    assert sample_cover_time(SparsityModel(3, 1.0), stream, column_process=True) == 1
+    assert _column_process(SparsityModel(3, 1.0), stream) == 1
 
 
 def test_sample_cover_time_positive():
@@ -157,22 +169,6 @@ def test_sample_cover_time_refuses_a_clipped_draw():
         estimate_expected_cover_time(SparsityModel(3, 1e-300), 5, 0)
 
 
-def test_column_process_refuses_past_the_column_ceiling(monkeypatch):
-    # At theta = 1e-300 a row is covered only by a uniform draw of exactly
-    # 0.0, so the column process used to run on for about 2^53 columns.
-    # The ceiling is 10^8 columns; lowered here, it is reached at once.
-    monkeypatch.setattr(montecarlo, "_MAX_TAIL_TERMS", 1000)
-    stream = _streams.spawn_generator(0, _streams.COVER_TRIAL, 0)
-    with pytest.raises(DomainError, match="1000 columns"):
-        sample_cover_time(SparsityModel(2, 1e-300), stream, column_process=True)
-    # Below the ceiling nothing changes.
-    stream = _streams.spawn_generator(3, _streams.COVER_TRIAL, 0)
-    columns = sample_cover_time(SparsityModel(4, 0.01), stream, column_process=True)
-    monkeypatch.setattr(montecarlo, "_MAX_TAIL_TERMS", columns)
-    stream = _streams.spawn_generator(3, _streams.COVER_TRIAL, 0)
-    assert sample_cover_time(SparsityModel(4, 0.01), stream, column_process=True) == columns
-
-
 def test_column_process_agrees_with_geometric_shortcut():
     # Same distribution, different sampling paths: compare the two means
     # at 3 sigma of their combined standard error.
@@ -184,10 +180,8 @@ def test_column_process_agrees_with_geometric_shortcut():
         geometric[t] = sample_cover_time(
             model, _streams.spawn_generator(seed, _streams.COVER_TRIAL, t)
         )
-        literal[t] = sample_cover_time(
-            model,
-            _streams.spawn_generator(seed + 1, _streams.COVER_TRIAL, t),
-            column_process=True,
+        literal[t] = _column_process(
+            model, _streams.spawn_generator(seed + 1, _streams.COVER_TRIAL, t)
         )
     gap = abs(geometric.mean() - literal.mean())
     spread = math.sqrt(
@@ -196,13 +190,13 @@ def test_column_process_agrees_with_geometric_shortcut():
     assert gap <= 3.0 * spread
 
 
-def _gof_pvalue(model: SparsityModel, trials: int, seed: int, column_process: bool) -> float:
+def _gof_pvalue(sampler, model: SparsityModel, trials: int, seed: int) -> float:
     # chi-squared goodness of fit of sampled cover times against the pmf,
     # lumping the tail so every expected bin count is at least 5
     counts: dict[int, int] = {}
     for t in range(trials):
         stream = _streams.spawn_generator(seed, _streams.COVER_TRIAL, t)
-        value = sample_cover_time(model, stream, column_process=column_process)
+        value = sampler(model, stream)
         counts[value] = counts.get(value, 0) + 1
     t_max = 1
     while trials * cover_time_pmf(model, t_max + 1) >= 5.0:
@@ -219,12 +213,12 @@ def _gof_pvalue(model: SparsityModel, trials: int, seed: int, column_process: bo
 
 
 def test_cover_time_distribution_chi_squared():
-    p_value = _gof_pvalue(SparsityModel(3, 0.5), 100000, 2024, column_process=False)
+    p_value = _gof_pvalue(sample_cover_time, SparsityModel(3, 0.5), 100000, 2024)
     assert p_value > 0.01
 
 
 def test_column_process_distribution_chi_squared():
-    p_value = _gof_pvalue(SparsityModel(3, 0.5), 20000, 2025, column_process=True)
+    p_value = _gof_pvalue(_column_process, SparsityModel(3, 0.5), 20000, 2025)
     assert p_value > 0.001
 
 
@@ -361,7 +355,8 @@ def test_sweep_points_reproducible_in_isolation():
     trials, seed = 400, 21
     curve = phase_sweep(model, 2, 5, trials, seed)
     for point in curve.points:
-        sub_seed = _streams.derive_seed(seed, _streams.SWEEP_POINT, point.p)
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(_streams.SWEEP_POINT, point.p))
+        sub_seed = int(key.generate_state(1, np.uint64)[0])
         assert point.empirical == estimate_coverage_probability(
             model, point.p, trials, sub_seed
         )

@@ -129,6 +129,10 @@ def test_assemble_one_by_one_dense():
     instance = assemble_instance(1, 1, 1.0, 4)
     assert instance.y[0, 0] == instance.v[0, 0] * instance.x[0, 0]
     assert abs(instance.v[0, 0]) == 1.0
+    # A bool or numpy n is stored as the model's int.
+    for n in (True, np.int64(3)):
+        assert type(assemble_instance(n, 4, 0.5, 0).n) is int
+    assert coverage_experiment(True, 0.5, 4, 5, 0).trials == 5
 
 
 def test_assemble_reconstruction_and_norm():
@@ -197,6 +201,9 @@ def test_row_coverage_rejects_bad_shapes():
         row_coverage_check(np.zeros((0, 3)))
     with pytest.raises(DomainError):
         row_coverage_check(np.zeros(4))
+    # No string equals 0, so a string matrix would read as covered.
+    with pytest.raises(DomainError, match="numeric"):
+        row_coverage_check([["0", "0"], ["0", "1"]])
 
 
 def test_coverage_report_consistency_enforced():

@@ -1,9 +1,9 @@
 """Tests for the batched stream derivation in _streams.
 
-trial_streams and trial_seeds must reproduce spawn_generator and
-derive_seed bit for bit: same Philox keys, same sub-seeds, same draws.
-These compare them against numpy's SeedSequence directly and against
-trial-by-trial rebuilds of the estimators that use them.
+trial_streams and trial_seeds must reproduce spawn_generator and the
+SeedSequence sub-seeds bit for bit: same Philox keys, same sub-seeds,
+same draws.  These compare them against numpy's SeedSequence directly
+and against trial-by-trial rebuilds of the estimators that use them.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ def test_batched_keys_across_the_two_word_index_boundary(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_trial_seeds_match_derive_seed(seed):
+def test_trial_seeds_match_seed_sequence(seed):
     tag = _streams.INSTANCE
     for start, stop in ((0, 3), (BLOCK - 1, BLOCK + 2), (2**32 - 1, 2**32 + 1)):
         seeds = list(_streams.trial_seeds(seed, tag, start, stop))
-        assert seeds == [_streams.derive_seed(seed, tag, t) for t in range(start, stop)]
+        assert seeds == [reference_key(seed, tag, t)[0] for t in range(start, stop)]
         assert all(type(value) is int for value in seeds)
 
 
@@ -102,6 +102,6 @@ def test_coverage_experiment_matches_a_reverse_rebuild():
     estimate = coverage_experiment(n, theta, p, trials, seed)
     hits = 0
     for t in reversed(range(trials)):
-        sub_seed = _streams.derive_seed(seed, _streams.INSTANCE, t)
+        sub_seed = reference_key(seed, _streams.INSTANCE, t)[0]
         hits += row_coverage_check(assemble_instance(n, p, theta, sub_seed).x).covered
     assert hits / trials == estimate.mean
