@@ -8,8 +8,9 @@ printed with 12 significant digits, which round-trips doubles without
 noise digits, so fixed inputs give byte-identical output across runs.
 
 Randomized subcommands default to seed 0; no seed is ever derived from
-the clock.  Exit codes: 0 success, 1 domain error (diagnostic on stderr),
-2 usage error.
+the clock.  Their handlers import montecarlo and omf when they run, so
+`expect`, `bounds` and `threshold` start without loading numpy.  Exit
+codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ from .coverage import (
     exact_expected_cover_time,
 )
 from .errors import DomainError
-from .montecarlo import (
-    estimate_coverage_probability,
-    estimate_expected_cover_time,
-    phase_sweep,
-)
-from .omf import assemble_instance, coverage_experiment, row_coverage_check, write_instance
 
 __all__ = ["run", "main", "SCHEMA_VERSION"]
 
@@ -118,6 +113,8 @@ def _cmd_threshold(args: argparse.Namespace) -> list[dict]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
+    from .montecarlo import estimate_coverage_probability, estimate_expected_cover_time
+
     model = SparsityModel(args.n, args.theta)
     if args.p is None:
         estimate = estimate_expected_cover_time(model, args.trials, args.seed)
@@ -132,6 +129,8 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> list[dict]:
+    from .montecarlo import phase_sweep
+
     records = []
     for n in args.n:
         for theta in args.theta:
@@ -165,6 +164,8 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_omf(args: argparse.Namespace) -> list[dict]:
+    from .omf import assemble_instance, coverage_experiment, row_coverage_check, write_instance
+
     if args.out is not None:
         _check_writable(args.out)
     instance = assemble_instance(args.n, args.p, args.theta, args.seed)

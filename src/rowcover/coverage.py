@@ -33,6 +33,10 @@ and when (1-theta)^n underflows the binomial inner sums switch to log
 space.  log_q is -inf at theta = 1, so the dense limit is an ordinary
 point of the formulas rather than a special case.  Functions are pure and
 raise DomainError on invalid input.
+
+numpy is imported only inside the functions that use it: harmonic above
+n = 100 and phase_sum_raw's blocked rows.  Everything else here, and the
+bounds module built on it, runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, checked_int, checked_real
 
@@ -68,7 +70,10 @@ _UNDERFLOW_LOG = -700.0
 # leave ~7 digits (2^30 / 2^53).
 _INCLUSION_EXCLUSION_MAX_N = 30
 
-# Reciprocals per numpy pass in harmonic; bounds the memory of one call.
+# harmonic sums its reciprocals in plain Python up to this n, where the two
+# paths cost the same; above it numpy forms them, a block per pass, which
+# bounds the memory of one call.
+_HARMONIC_PURE_MAX = 100
 _HARMONIC_BLOCK = 4096
 
 # Euler-Maclaurin for E[T]: f'(0)/lambda and f'''(0)/lambda^3 for n = 1, 2, 3
@@ -194,10 +199,16 @@ def classic_harmonic_sum(n: int) -> float:
 def harmonic(n: int) -> float:
     """H_n = 1 + 1/2 + ... + 1/n, exactly rounded.
 
-    numpy forms the reciprocals a block at a time; IEEE division rounds
-    each one exactly as 1.0 / k does, and fsum rounds their sum once.
+    Up to n = 100 the reciprocals 1.0 / k are formed one by one; above it
+    numpy forms them a block at a time.  IEEE division rounds each one the
+    same way on both paths, and fsum rounds their sum once, so both give
+    the same bits.
     """
     n = checked_int(n, "n", 1)
+    if n <= _HARMONIC_PURE_MAX:
+        return math.fsum(1.0 / k for k in range(1, n + 1))
+    import numpy as np
+
     blocks = (
         (1.0 / np.arange(start, min(start + _HARMONIC_BLOCK, n + 1))).tolist()
         for start in range(1, n + 1, _HARMONIC_BLOCK)
@@ -216,8 +227,8 @@ def _row_blocks(n: int):
         k0 = k1
 
 
-def _row_sums(block: np.ndarray) -> list[float]:
-    """math.fsum of each row of a block of non-negative terms.
+def _row_sums(block) -> list[float]:
+    """math.fsum of each row of a 2-D numpy array of non-negative terms.
 
     fsum rounds correctly, so any correctly rounded sum has its bits.  Each
     row is split without error (ExtractVector in Rump, Ogita and Oishi,
@@ -233,6 +244,8 @@ def _row_sums(block: np.ndarray) -> list[float]:
     the gap under hi.  A row where it is not, within the bound of a rounding
     midpoint, goes to fsum.
     """
+    import numpy as np
+
     width = block.shape[1]
     _, exponents = np.frexp(block.max(axis=1))
     sigma = np.ldexp(1.0, exponents + (width + 1).bit_length())[:, None]
@@ -247,8 +260,9 @@ def _row_sums(block: np.ndarray) -> list[float]:
     bound = np.abs(low).sum(axis=1) * (width * 2.0**-51) + width * 5e-324
     certified = np.abs(lo) + bound < (hi - np.nextafter(hi, 0.0)) * 0.5
     sums = hi.tolist()
-    for i in np.flatnonzero(~certified).tolist():
-        sums[i] = math.fsum(block[i].tolist())
+    for i, exact in enumerate(certified.tolist()):
+        if not exact:
+            sums[i] = math.fsum(block[i].tolist())
     return sums
 
 
@@ -259,6 +273,8 @@ def _inner_complement_log(n: int, log_theta: float, log_q: float) -> list[float]
     # The logs are formed left to right as written, the order the pinned
     # values were computed in, but math.exp stays: np.exp rounds some
     # arguments differently.
+    import numpy as np
+
     log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
     complements = []
     for k0, k1 in _row_blocks(n):
@@ -286,6 +302,8 @@ def _inner_complement_linear(n: int, theta: float) -> list[float]:
     # term_{r+1} = term_r * (k-r)/(r+1) * theta/(1-theta).  In the blocks,
     # np.multiply.accumulate takes a row's products in order from r = 0, and
     # the factor is 0 past r = k, so a row's later cells are 0.
+    import numpy as np
+
     q = 1.0 - theta
     ratio = theta / q
     q_n = q**n

@@ -104,8 +104,9 @@ def test_harmonic_rejects_zero():
 
 
 def test_harmonic_matches_scalar_loop_across_blocks():
-    # The blocked numpy reciprocals are bit-identical to 1.0 / k term by term.
-    for n in (1, 2, 4095, 4096, 4097, 8193, 10_000):
+    # The blocked numpy reciprocals are bit-identical to 1.0 / k term by term;
+    # 100 and 101 sit on either side of the switch to numpy.
+    for n in (1, 2, 100, 101, 4095, 4096, 4097, 8193, 10_000):
         assert harmonic(n) == math.fsum(1.0 / k for k in range(1, n + 1)), n
 
 

@@ -270,13 +270,14 @@ def test_sweep_rejects_malformed_lists(capsys):
 
 @pytest.mark.parametrize("where", ["missing/dir/x", "."])
 def test_omf_unwritable_out_fails_before_any_work(where, tmp_path, capsys, monkeypatch):
-    from rowcover import cli
+    # The omf handler imports these from rowcover.omf when it runs.
+    from rowcover import omf
 
     def no_work(*args):
         raise AssertionError("the experiment ran before the output location was checked")
 
-    monkeypatch.setattr(cli, "coverage_experiment", no_work)
-    monkeypatch.setattr(cli, "assemble_instance", no_work)
+    monkeypatch.setattr(omf, "coverage_experiment", no_work)
+    monkeypatch.setattr(omf, "assemble_instance", no_work)
     out = tmp_path / where
     code, stdout, stderr = run_capture(
         ["omf", "--n", "3", "--theta", "0.5", "--p", "6", "--out", str(out)], capsys
@@ -291,12 +292,12 @@ def test_omf_unwritable_out_fails_before_any_work(where, tmp_path, capsys, monke
 def test_omf_failed_write_is_a_domain_error(tmp_path, capsys, monkeypatch):
     # A location that passes the up-front check can still fail to take
     # the write, e.g. on a full disk.
-    from rowcover import cli
+    from rowcover import omf
 
     def disk_full(instance, path):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "write_instance", disk_full)
+    monkeypatch.setattr(omf, "write_instance", disk_full)
     out = tmp_path / "instance.txt"
     code, stdout, stderr = run_capture(
         ["omf", "--n", "2", "--theta", "0.5", "--p", "3", "--trials", "5", "--out", str(out)],
@@ -324,6 +325,27 @@ def test_omf_out_dump_round_trips(tmp_path, capsys):
     assert instance.p == 6
     assert instance.seed == 9
     assert np.count_nonzero(instance.x) >= 1
+
+
+def test_analytic_commands_do_not_load_numpy():
+    # expect, bounds and threshold are scalar math; numpy loads with
+    # montecarlo and omf only.  At theta = 1e-4 expect takes the closed form,
+    # which calls harmonic.
+    commands = [GOLDEN_COMMANDS[name] for name in ("expect", "bounds", "threshold")]
+    commands.append(["expect", "--n", "3", "--theta", "1e-4"])
+    script = (
+        "import contextlib, io, sys\n"
+        "from rowcover import cli\n"
+        f"for args in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(args) == 0, args\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 # ------------------------------------------------------------ golden files
