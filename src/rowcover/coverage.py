@@ -34,16 +34,16 @@ space.  log_q is -inf at theta = 1, so the dense limit is an ordinary
 point of the formulas rather than a special case.  Functions are pure and
 raise DomainError on invalid input.
 
-numpy is imported only inside the functions that use it: harmonic above
-n = 100 and phase_sum_raw's blocked rows.  Everything else here, and the
-bounds module built on it, runs without loading numpy.
+numpy is imported only inside phase_sum_raw's blocked rows.  Everything
+else here, and the bounds module built on it, runs without loading numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 
 from .errors import DomainError, checked_int, checked_real
 
@@ -70,19 +70,14 @@ _UNDERFLOW_LOG = -700.0
 # leave ~7 digits (2^30 / 2^53).
 _INCLUSION_EXCLUSION_MAX_N = 30
 
-# harmonic sums its reciprocals in plain Python up to this n, where the two
-# paths cost the same; above it numpy forms them, a block per pass, which
-# bounds the memory of one call.
-_HARMONIC_PURE_MAX = 100
-_HARMONIC_BLOCK = 4096
-
 # Euler-Maclaurin for E[T]: f'(0)/lambda and f'''(0)/lambda^3 for n = 1, 2, 3
 # (both vanish for n >= 4), and the remainder bound's factor on lambda^3.
 _EM_DERIVATIVES = {1: (-1.0, -1.0), 2: (0.0, 6.0), 3: (0.0, -6.0)}
 _EM_REMAINDER = 26.0 / 720.0
 
-# Most terms the direct tail sum, or phase_sum_raw's binomial sums, may
-# take; a call that needs more is refused rather than left running for hours.
+# Most terms the direct tail sum, the O(n) sums over rows, or phase_sum_raw's
+# binomial sums may take; a call that needs more is refused rather than left
+# running for minutes or hours.
 _MAX_TAIL_TERMS = 10**8
 
 # phase_sum_raw sums its binomial rows in numpy blocks of at most this many
@@ -185,35 +180,36 @@ def _finite_sum(terms, what: str, theta: float) -> float:
     return total
 
 
-def classic_harmonic_sum(n: int) -> float:
-    """n * H_n as the sum over k < n of 1 / (1 - k/n).
-
-    Each term is evaluated as n / (n - k), which is the same ratio with the
-    integer cancellation done exactly, so small n come out bit-clean
-    (classic_harmonic_sum(3) == 5.5).
-    """
+def _checked_term_count(n: object) -> int:
+    # n as a row count for the sums that take one term per row, refusing an
+    # n past the term ceiling before any summing.
     n = checked_int(n, "n", 1)
-    return math.fsum(n / (n - k) for k in range(n))
+    if n > _MAX_TAIL_TERMS:
+        raise DomainError(f"n = {n} needs more than {_MAX_TAIL_TERMS} terms")
+    return n
+
+
+def classic_harmonic_sum(n: int) -> float:
+    """n * H_n as the sum over k = 1 .. n of n / k, exactly rounded.
+
+    Each term is one correctly rounded division, the same multiset of
+    quotients as n / (n - k) over k < n, and fsum rounds their sum once,
+    so small n come out bit-clean (classic_harmonic_sum(3) == 5.5).  An n
+    past 10^8 raises DomainError.
+    """
+    n = _checked_term_count(n)
+    return math.fsum(map(truediv, repeat(n, n), range(1, n + 1)))
 
 
 def harmonic(n: int) -> float:
     """H_n = 1 + 1/2 + ... + 1/n, exactly rounded.
 
-    Up to n = 100 the reciprocals 1.0 / k are formed one by one; above it
-    numpy forms them a block at a time.  IEEE division rounds each one the
-    same way on both paths, and fsum rounds their sum once, so both give
-    the same bits.
+    Each reciprocal 1 / k is one correctly rounded division, and fsum
+    rounds their sum once, in O(1) memory.  An n past 10^8 raises
+    DomainError.
     """
-    n = checked_int(n, "n", 1)
-    if n <= _HARMONIC_PURE_MAX:
-        return math.fsum(1.0 / k for k in range(1, n + 1))
-    import numpy as np
-
-    blocks = (
-        (1.0 / np.arange(start, min(start + _HARMONIC_BLOCK, n + 1))).tolist()
-        for start in range(1, n + 1, _HARMONIC_BLOCK)
-    )
-    return math.fsum(itertools.chain.from_iterable(blocks))
+    n = _checked_term_count(n)
+    return math.fsum(map(truediv, repeat(1, n), range(1, n + 1)))
 
 
 def _row_blocks(n: int):
@@ -367,9 +363,9 @@ def phase_sum_expectation(model: SparsityModel) -> float:
 
     The binomial inner sum in phase_sum_raw telescopes to (1-theta)^(n-k),
     so both functions compute the same number; this one in O(n) stable
-    operations.
+    operations.  An n past 10^8 raises DomainError.
     """
-    n, theta, log_q = _checked_model(model).n, model.theta, model.log_q
+    n, theta, log_q = _checked_term_count(_checked_model(model).n), model.theta, model.log_q
     terms = (1.0 / _complement_power(theta, k, log_q) for k in range(1, n + 1))
     return _finite_sum(terms, "the phase sum", theta)
 

@@ -53,6 +53,9 @@ Z95 = 1.959963984540054
 # even, so this odd value only ever means a clipped draw.
 _CLIPPED_DRAW = np.iinfo(np.int64).max
 
+# numpy refuses, with a bare ValueError, an array of more bytes than this.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 
 @dataclass(frozen=True, slots=True)
 class MonteCarloEstimate:
@@ -126,14 +129,27 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     return cover_time
 
 
+def _check_pattern_size(n: int, p: int) -> None:
+    # One n x p draw of float64 uniforms, refused before numpy is asked for
+    # an array it cannot allocate.
+    if n * p * 8 > _MAX_ARRAY_BYTES:
+        raise DomainError(
+            f"an n x p = {n} x {p} pattern needs {n * p * 8} bytes of draws, "
+            f"more than numpy can allocate ({_MAX_ARRAY_BYTES})"
+        )
+
+
 def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndarray:
     """The n x p Boolean sparsity pattern for (model, p, seed).
 
     This is the package-wide pattern law: the omf module's sparse matrices
     place their nonzeros at exactly these positions for the same inputs.
+    An n x p draw past the largest array numpy can allocate raises
+    DomainError.
     """
     _checked_model(model)
     p = checked_int(p, "p", 0)
+    _check_pattern_size(model.n, p)
     seed = _streams.checked_seed(seed)
     stream = _streams.spawn_generator(seed, _streams.PATTERN)
     return stream.random((model.n, p)) < model.theta
@@ -182,12 +198,17 @@ def estimate_expected_cover_time(
 def estimate_coverage_probability(
     model: SparsityModel, p: int, trials: int, seed: int
 ) -> MonteCarloEstimate:
-    """Fraction of n x p patterns with no all-zero row, with a Wilson CI."""
+    """Fraction of n x p patterns with no all-zero row, with a Wilson CI.
+
+    Each trial draws its whole n x p pattern, so an n x p past the largest
+    array numpy can allocate raises DomainError.
+    """
     _checked_model(model)
     p = checked_int(p, "p", 0)
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
     n, theta = model.n, model.theta
+    _check_pattern_size(n, p)
     streams = _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials)
     outcomes = ((s.random((n, p)) < theta).any(axis=1).all() for s in streams)
     return _proportion_estimate(outcomes, trials, seed)

@@ -104,8 +104,8 @@ def test_harmonic_rejects_zero():
 
 
 def test_harmonic_matches_scalar_loop_across_blocks():
-    # The blocked numpy reciprocals are bit-identical to 1.0 / k term by term;
-    # 100 and 101 sit on either side of the switch to numpy.
+    # Each reciprocal is one correctly rounded division and fsum rounds the
+    # sum once, so harmonic has the bits of this scalar loop at every n.
     for n in (1, 2, 100, 101, 4095, 4096, 4097, 8193, 10_000):
         assert harmonic(n) == math.fsum(1.0 / k for k in range(1, n + 1)), n
 

@@ -91,6 +91,17 @@ def test_simulate_where_the_power_rounds_to_one(capsys):
     assert math.isclose(record["results"]["analytic"], 2.5e-35, rel_tol=1e-11)
 
 
+@pytest.mark.parametrize("command", ["simulate", "omf"])
+def test_pattern_numpy_cannot_allocate_is_a_domain_error(command, capsys):
+    # 3 x 10^20 float64 draws are more bytes than numpy can index.
+    code, out, err = run_capture(
+        [command, "--n", "3", "--theta", "0.5", "--p", str(10**20), "--trials", "1"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rowcover: ") and "numpy can allocate" in err
+
+
 def test_threshold_beyond_2_pow_53_is_a_domain_error(capsys):
     code, out, err = run_capture(["threshold", "--n", "2", "--theta", "1e-300"], capsys)
     assert code == 1
@@ -330,9 +341,12 @@ def test_omf_out_dump_round_trips(tmp_path, capsys):
 def test_analytic_commands_do_not_load_numpy():
     # expect, bounds and threshold are scalar math; numpy loads with
     # montecarlo and omf only.  At theta = 1e-4 expect takes the closed form,
-    # which calls harmonic.
+    # which calls harmonic; bounds calls it through digamma_bound.  The n
+    # past 100 check that no n brings numpy in.
     commands = [GOLDEN_COMMANDS[name] for name in ("expect", "bounds", "threshold")]
     commands.append(["expect", "--n", "3", "--theta", "1e-4"])
+    commands.append(["bounds", "--n", "2000", "--theta", "0.01"])
+    commands.append(["expect", "--n", "101", "--theta", "1e-4"])
     script = (
         "import contextlib, io, sys\n"
         "from rowcover import cli\n"

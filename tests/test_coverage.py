@@ -27,13 +27,17 @@ from rowcover import (
     DomainError,
     SparsityModel,
     assemble_instance,
+    bound_report,
     classic_harmonic_sum,
     coverage_probability,
     coverage_threshold,
     cover_time_pmf,
+    digamma_bound,
+    digamma_psi0,
     exact_expected_cover_time,
     estimate_coverage_probability,
     estimate_expected_cover_time,
+    harmonic,
     inclusion_exclusion_expectation,
     phase_sum_expectation,
     phase_sum_raw,
@@ -46,6 +50,7 @@ from rowcover import (
     theorem_bound,
     write_instance,
 )
+from rowcover.cli import run
 
 DATA_DIR = Path(__file__).parent / "data"
 THETA_GRID = (0.01, 0.1, 0.3, 0.5, 0.9, 1.0)
@@ -220,11 +225,40 @@ def test_classic_harmonic_sum_matches_rational_oracle():
     for n in (7, 19, 64, 257):
         oracle = float(n * sum(Fraction(1, k) for k in range(1, n + 1)))
         assert math.isclose(classic_harmonic_sum(n), oracle, rel_tol=1e-14)
+    # n / k over 1 <= k <= n is the same multiset of correctly rounded
+    # quotients as n / (n - k) over k < n, and fsum is exactly rounded in any
+    # order, so the two loops give the same bits.
+    for n in (1, 2, 100, 101, 4095, 4096, 4097, 8193, 10_000):
+        assert classic_harmonic_sum(n) == math.fsum(n / (n - k) for k in range(n)), n
 
 
 def test_classic_harmonic_sum_rejects_zero():
     with pytest.raises(DomainError):
         classic_harmonic_sum(0)
+
+
+def test_sums_over_rows_refuse_n_past_the_term_ceiling(capsys):
+    # One term per row: at n = 10^8 + 1 each of these would run for seconds
+    # to minutes, so each refuses n before summing anything.
+    n = 10**8 + 1
+    model = SparsityModel(n, 0.5)
+    calls = {
+        "harmonic": lambda: harmonic(n),
+        "classic_harmonic_sum": lambda: classic_harmonic_sum(n),
+        "digamma_psi0": lambda: digamma_psi0(n),
+        "digamma_bound": lambda: digamma_bound(model),
+        "phase_sum_expectation": lambda: phase_sum_expectation(model),
+        "exact_expected_cover_time": lambda: exact_expected_cover_time(model),
+        "bound_report": lambda: bound_report(model),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DomainError, match="more than 100000000 terms"):
+            call()
+            pytest.fail(name)
+    assert run(["expect", "--n", str(n), "--theta", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rowcover: ") and captured.err.count("\n") == 1
 
 
 # ------------------------------------------------------------ phase sum

@@ -32,6 +32,7 @@ from rowcover import (
     phase_sweep,
     sample_cover_time,
     sample_indicator_pattern,
+    sample_sparse_matrix,
 )
 from rowcover import _streams
 
@@ -304,6 +305,19 @@ def test_coverage_rejects_bad_arguments():
         estimate_coverage_probability(model, -1, 100, 0)
     with pytest.raises(DomainError):
         estimate_coverage_probability(model, 3, 0, 0)
+
+
+def test_pattern_numpy_cannot_allocate_is_refused():
+    # numpy itself would raise a bare ValueError for either shape: a p past
+    # the largest intp, or n x p float64 draws of more bytes than an intp holds.
+    model = SparsityModel(3, 0.5)
+    for big_model, p in ((model, 10**20), (SparsityModel(10**10, 0.5), 10**9)):
+        with pytest.raises(DomainError, match="numpy can allocate"):
+            estimate_coverage_probability(big_model, p, 1, 0)
+        with pytest.raises(DomainError, match="numpy can allocate"):
+            sample_indicator_pattern(big_model, p, 0)
+        with pytest.raises(DomainError, match="numpy can allocate"):
+            sample_sparse_matrix(big_model, p, 0)
 
 
 # -------------------------------------------------------------- patterns
