@@ -116,13 +116,15 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
     from .montecarlo import estimate_coverage_probability, estimate_expected_cover_time
 
     model = SparsityModel(args.n, args.theta)
+    # The analytic value comes first: it refuses what it cannot compute
+    # before any trial is drawn.
     if args.p is None:
-        estimate = estimate_expected_cover_time(model, args.trials, args.seed)
         analytic = exact_expected_cover_time(model, args.tol).exact_expectation
+        estimate = estimate_expected_cover_time(model, args.trials, args.seed)
         parameters = _fields(args, ("n", "theta", "trials", "seed", "tol"))
     else:
-        estimate = estimate_coverage_probability(model, args.p, args.trials, args.seed)
         analytic = coverage_probability(model, args.p)
+        estimate = estimate_coverage_probability(model, args.p, args.trials, args.seed)
         parameters = _fields(args, ("n", "theta", "p", "trials", "seed"))
     results = {**_fields(estimate, _ESTIMATE), "analytic": analytic}
     return [_record("simulate", parameters, results)]

@@ -34,8 +34,10 @@ space.  log_q is -inf at theta = 1, so the dense limit is an ordinary
 point of the formulas rather than a special case.  Functions are pure and
 raise DomainError on invalid input.
 
-numpy is imported only inside phase_sum_raw's blocked rows.  Everything
-else here, and the bounds module built on it, runs without loading numpy.
+phase_sum_raw builds its binomial rows in numpy blocks, each only near
+the rows' modes, with a certified bound on the cells it leaves out (see
+its docstring).  numpy is imported only there.  Everything else here, and
+the bounds module built on it, runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -86,6 +88,14 @@ _BLOCK_CELLS = 2**13
 
 # math.exp(x) is exactly 0.0 below this x, and a sum ignores zeros.
 _EXP_UNDERFLOW = -745.2
+
+# phase_sum_raw builds its binomial rows only out to this many standard
+# deviations past their modes, plus a few cells, and its log rows call
+# math.exp only on cells within 60 nats of the row's peak; every cell left
+# out there is below e^-59.
+_BAND_SDS = 12.0
+_EXP_CUT = -60.0
+_EXP_CUT_TAIL = math.exp(_EXP_CUT + 1.0)
 
 # Past 2**53, p and p - 1 are the same double: coverage_threshold cannot
 # resolve p* there.  At or below 2**-54, 1 - delta rounds to 1.0, so no
@@ -212,18 +222,28 @@ def harmonic(n: int) -> float:
     return math.fsum(map(truediv, repeat(1, n), range(1, n + 1)))
 
 
-def _row_blocks(n: int):
-    # (k0, k1) for rows k0 .. k1-1 of the triangle r <= k < n: as many rows
-    # as fit in _BLOCK_CELLS cells at the width k1 of the block's last row,
-    # and at least one.
+def _row_blocks(n: int, band):
+    # (k0, k1, a, b) for rows k0 .. k1-1 of the triangle r <= k < n over the
+    # columns a .. b-1 that band(k0, k1) keeps: as many rows as fit in
+    # _BLOCK_CELLS cells, and at least one.  A band only widens as k1 grows,
+    # so a row count that fits a wider band fits every narrower one.
     k0 = 0
     while k0 < n:
-        k1 = min(n, k0 + max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK_CELLS) - k0) // 2))
-        yield k0, k1
+        rows = max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK_CELLS) - k0) // 2)  # fits at full width
+        while k0 + rows < n:
+            a, b = band(k0, k0 + rows)
+            more = min(n - k0, _BLOCK_CELLS // (b - a))
+            a, b = band(k0, k0 + more)
+            more = min(more, _BLOCK_CELLS // (b - a))
+            if more <= rows:
+                break
+            rows = more
+        k1 = min(n, k0 + rows)
+        yield (k0, k1, *band(k0, k1))
         k0 = k1
 
 
-def _row_sums(block) -> list[float]:
+def _row_sums(block, tail=0.0, row=None) -> list[float]:
     """math.fsum of each row of a 2-D numpy array of non-negative terms.
 
     fsum rounds correctly, so any correctly rounded sum has its bits.  Each
@@ -235,10 +255,18 @@ def _row_sums(block) -> list[float]:
     so they add up exactly in any order.  The row is sum(high) + sum(low),
     and the float sum of the lows is off by at most gamma_width * sum|low|
     (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
-    Comput. 26(6), 2005).  With (hi, lo) = TwoSum(sum(high), sum(low)), hi
-    is the correctly rounded row sum when |lo| plus that bound is below half
-    the gap under hi.  A row where it is not, within the bound of a rounding
-    midpoint, goes to fsum.
+    Comput. 26(6), 2005).  sum(high) holds the high part of the row's
+    largest term, at least sigma / (4 (width + 1)), far above |sum(low)| <=
+    width ulp(sigma) / 2, so (hi, lo) = FastTwoSum(sum(high), sum(low)) is
+    exact (Dekker, Numer. Math. 18, 1971); in the subnormal range every low
+    is 0.  hi is the correctly rounded row sum when |lo| plus that bound is
+    below half the gap under hi.  A row where it is not, within the bound
+    of a rounding midpoint, goes to fsum.
+
+    A block may hold only part of each row.  tail, a number or one per row,
+    then bounds the non-negative terms left out, and is added to the bound:
+    hi is still the correctly rounded sum of the whole row.  A row that
+    fails goes to fsum as row(i), its whole terms, when row is given.
     """
     import numpy as np
 
@@ -249,33 +277,47 @@ def _row_sums(block) -> list[float]:
     low = block - high
     top, rest = high.sum(axis=1), low.sum(axis=1)
     hi = top + rest
-    rest_virtual = hi - top
-    lo = (top - (hi - rest_virtual)) + (rest - rest_virtual)
+    lo = rest - (hi - top)
     # 4 width u is twice gamma_width, which covers the rounding of sum|low|
     # itself; width * 5e-324 covers a product that underflows.
-    bound = np.abs(low).sum(axis=1) * (width * 2.0**-51) + width * 5e-324
+    bound = np.abs(low).sum(axis=1) * (width * 2.0**-51) + (width * 5e-324 + tail)
     certified = np.abs(lo) + bound < (hi - np.nextafter(hi, 0.0)) * 0.5
     sums = hi.tolist()
     for i, exact in enumerate(certified.tolist()):
         if not exact:
-            sums[i] = math.fsum(block[i].tolist())
+            sums[i] = math.fsum(block[i].tolist() if row is None else row(i))
     return sums
 
 
-def _inner_complement_log(n: int, log_theta: float, log_q: float) -> list[float]:
+def _inner_complement_log(n: int, theta: float, log_q: float) -> list[float]:
     # 1 - sum_{r=0}^{k} C(k,r) theta^r (1-theta)^(n-r) for k = 0 .. n-1, each
     # term computed as exp(ln k! - ln r! - ln (k-r)! + r ln theta +
     # (n-r) ln(1-theta)) and combined by logsumexp; complement via expm1.
     # The logs are formed left to right as written, the order the pinned
     # values were computed in, but math.exp stays: np.exp rounds some
     # arguments differently.
+    #
+    # Only cells within 60 nats of their row's peak go to math.exp.  The
+    # peak cell is exp(0) = 1, so a row sums to at least 1, and each cell
+    # left out would add less than e^-59 (one nat for the rounding of the
+    # logs).  A block keeps only the columns within 12 sd + 30 of its rows'
+    # modes floor((k+1) theta), sd = sqrt(k theta (1-theta)).  The binomial
+    # pmf is log-concave, so where the edge cell of a cut row is below -60,
+    # so is every cell past it, and the row's peak is in the band.  A row
+    # whose edge cell is not is redone over its full width.
     import numpy as np
 
+    log_theta = math.log(theta)
     log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
-    complements = []
-    for k0, k1 in _row_blocks(n):
+    spread = _BAND_SDS * math.sqrt(theta * (1.0 - theta))
+
+    def band(k0: int, k1: int) -> tuple[int, int]:
+        reach = int(spread * math.sqrt(k1 - 1)) + 30
+        return max(0, int((k0 + 1) * theta) - reach), min(k1, int(k1 * theta) + reach + 1)
+
+    def shifted_logs(k0: int, k1: int, a: int, b: int):
         k = np.arange(k0, k1)[:, None]
-        r = np.arange(k1)
+        r = np.arange(a, b)
         spill = r > k
         logs = (
             log_fact[k] - log_fact[r] - log_fact[np.where(spill, 0, k - r)]
@@ -283,13 +325,31 @@ def _inner_complement_log(n: int, log_theta: float, log_q: float) -> list[float]
         )
         logs[spill] = -math.inf
         peaks = logs.max(axis=1)
-        shifted = logs - peaks[:, None]
-        kept = shifted >= _EXP_UNDERFLOW
+        return peaks, logs - peaks[:, None]
+
+    def exps(shifted, floor: float):
+        kept = shifted >= floor
         values = shifted[kept]
         terms = np.zeros_like(shifted)
         terms[kept] = np.fromiter(map(math.exp, memoryview(values)), float, values.size)
-        for peak, total in zip(peaks.tolist(), _row_sums(terms)):
-            complements.append(-math.expm1(peak + math.log(total)))
+        return terms
+
+    def full_row(k: int) -> list[float]:
+        return exps(shifted_logs(k, k + 1, 0, k + 1)[1], _EXP_UNDERFLOW)[0].tolist()
+
+    def block_complements(k0: int, k1: int, a: int, b: int) -> list[float]:
+        peaks, shifted = shifted_logs(k0, k1, a, b)
+        sums = _row_sums(exps(shifted, _EXP_CUT), n * _EXP_CUT_TAIL, lambda i: full_row(k0 + i))
+        k = np.arange(k0, k1)
+        fits = ((a == 0) | (shifted[:, 0] < _EXP_CUT)) & ((k < b) | (shifted[:, -1] < _EXP_CUT))
+        return [
+            -math.expm1(peak + math.log(total)) if ok else block_complements(j, j + 1, 0, j + 1)[0]
+            for j, ok, peak, total in zip(range(k0, k1), fits.tolist(), peaks.tolist(), sums)
+        ]
+
+    complements = []
+    for k0, k1, a, b in _row_blocks(n, band):
+        complements += block_complements(k0, k1, a, b)
     return complements
 
 
@@ -298,20 +358,52 @@ def _inner_complement_linear(n: int, theta: float) -> list[float]:
     # term_{r+1} = term_r * (k-r)/(r+1) * theta/(1-theta).  In the blocks,
     # np.multiply.accumulate takes a row's products in order from r = 0, and
     # the factor is 0 past r = k, so a row's later cells are 0.
+    #
+    # A block is built only to the column c = min(k, floor(k theta + 12 sd)
+    # + 10) of its last row k, sd = sqrt(k theta (1-theta)).  Past c the
+    # factors fall, so the cells a row k > c leaves out sum to at most
+    # term_c g / (1 - g), with g the computed factor at c inflated by
+    # 2^-49 for the rounding of the factors and products (plus 5e-324 a
+    # cell for products that underflow).  A row with g >= 1 gets an
+    # infinite bound, so it is summed in full.
     import numpy as np
 
     q = 1.0 - theta
     ratio = theta / q
     q_n = q**n
-    complements = []
-    for k0, k1 in _row_blocks(n):
-        k = np.arange(k0, k1, dtype=float)[:, None]
-        r = np.arange(k1 - 1, dtype=float)
-        terms = np.empty((k1 - k0, k1))
+    spread = _BAND_SDS * math.sqrt(theta * q)
+
+    def band(k0: int, k1: int) -> tuple[int, int]:
+        k = k1 - 1
+        return 0, min(k1, int(k * theta + spread * math.sqrt(k)) + 11)
+
+    def build(k0: int, k1: int, width: int):
+        # (k+1) - (r+1) is k - r exactly, so k and r here stand one higher.
+        k = np.arange(k0 + 1, k1 + 1, dtype=float)[:, None]
+        r = np.arange(1, width, dtype=float)
+        terms = np.empty((k1 - k0, width))
         terms[:, 0] = q_n
-        terms[:, 1:] = np.maximum(k - r, 0.0) / (r + 1.0) * ratio
-        np.multiply.accumulate(terms, axis=1, out=terms)
-        complements += [1.0 - total for total in _row_sums(terms)]
+        terms[:, 1:] = np.maximum(k - r, 0.0) / r * ratio
+        return np.multiply.accumulate(terms, axis=1, out=terms)
+
+    def full_row(k: int) -> list[float]:
+        return build(k, k + 1, k + 1)[0].tolist()
+
+    complements = []
+    for k0, k1, _, width in _row_blocks(n, band):
+        terms = build(k0, k1, width)
+        if width == k1:  # no row is cut
+            complements += [1.0 - total for total in _row_sums(terms)]
+            continue
+        skipped = np.maximum(np.arange(k0 + 1 - width, k1 + 1 - width, dtype=float), 0.0)
+        g = skipped / width * ratio * (1.0 + 2.0**-49)
+        room = 1.0 - g
+        tail = np.divide(
+            (terms[:, -1] * g + skipped * 5e-324) * (1.0 + 2.0**-49), room,
+            out=np.full(k1 - k0, math.inf), where=room > 0.0,
+        )
+        sums = _row_sums(terms, tail, lambda i: full_row(k0 + i))
+        complements += [1.0 - total for total in sums]
     return complements
 
 
@@ -328,11 +420,18 @@ def phase_sum_raw(model: SparsityModel) -> float:
     This form costs O(n^2): more than 10^8 terms n(n+1)/2, i.e. n >= 14142,
     raise DomainError.  The rows are built and summed in numpy blocks of at
     most 8192 cells, each row's terms formed in the order of a per-row
-    recurrence.  Each row sum is the correctly rounded
-    one that math.fsum gives: an error-free split certifies it, and the
-    rare row it cannot certify, next to a rounding midpoint, goes to fsum.
-    So the result has the bits of summing each row with fsum, which the
-    tests pin; the log-space rows still call math.exp once per term.
+    recurrence.  Each row sum is the correctly rounded one that math.fsum
+    gives: an error-free split certifies it, and the rare row it cannot
+    certify, next to a rounding midpoint, goes to fsum.  Row k is a
+    binomial(k, theta) profile, so a block is built only near its rows'
+    modes: a linear row out to c = min(k, floor(k theta + 12 sd) + 10),
+    sd = sqrt(k theta (1-theta)); a log row over 12 sd + 30 either side of
+    the modes, with math.exp called only within 60 nats of the row's peak.
+    A bound on the cells left out joins the certificate, term_c rho /
+    (1 - rho) past a linear row's falling ratio rho, e^-59 a cell in log
+    space, and a row that fails it is built in full and summed with fsum.
+    So the result has the bits of summing each whole row with fsum, which
+    the tests pin.
 
     This form also drifts at small theta, where 1 - sum cancels.  Its
     relative gap to phase_sum_expectation at n = 2 is 3.2e-11 at
@@ -352,10 +451,10 @@ def phase_sum_raw(model: SparsityModel) -> float:
         )
     log_q = model.log_q
     if n * log_q < _UNDERFLOW_LOG:
-        complements = _inner_complement_log(n, math.log(theta), log_q)
+        complements = _inner_complement_log(n, theta, log_q)
     else:
         complements = _inner_complement_linear(n, theta)
-    return math.fsum(1.0 / c for c in complements)
+    return math.fsum(map(truediv, repeat(1.0, n), complements))
 
 
 def phase_sum_expectation(model: SparsityModel) -> float:
@@ -363,11 +462,22 @@ def phase_sum_expectation(model: SparsityModel) -> float:
 
     The binomial inner sum in phase_sum_raw telescopes to (1-theta)^(n-k),
     so both functions compute the same number; this one in O(n) stable
-    operations.  An n past 10^8 raises DomainError.
+    operations.  The sum stops at the first k where 1 - (1-theta)^k rounds
+    to 1.0: every later term is exactly 1.0 too, so the n - k + 1 terms
+    left are the one exact term n - k + 1, and fsum, correctly rounded,
+    returns the same double.  An n past 10^8 raises DomainError.
     """
     n, theta, log_q = _checked_term_count(_checked_model(model).n), model.theta, model.log_q
-    terms = (1.0 / _complement_power(theta, k, log_q) for k in range(1, n + 1))
-    return _finite_sum(terms, "the phase sum", theta)
+
+    def terms():
+        for k in range(1, n + 1):
+            complement = _complement_power(theta, k, log_q)
+            if complement == 1.0:
+                yield float(n - k + 1)
+                return
+            yield 1.0 / complement
+
+    return _finite_sum(terms(), "the phase sum", theta)
 
 
 def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> CoverTimeSummary:

@@ -300,6 +300,24 @@ def test_omf_unwritable_out_fails_before_any_work(where, tmp_path, capsys, monke
     assert not (tmp_path / "missing").exists()
 
 
+def test_simulate_refuses_before_drawing_any_trial(capsys, monkeypatch):
+    # Past 10^8 rows the analytic cover time is refused; the handler takes
+    # it before the estimate, so not one trial is sampled (n geometric
+    # draws each) before the exit.
+    from rowcover import montecarlo
+
+    def no_trials(*args):
+        raise AssertionError("trials were sampled before the analytic value was refused")
+
+    monkeypatch.setattr(montecarlo, "estimate_expected_cover_time", no_trials)
+    code, stdout, stderr = run_capture(
+        ["simulate", "--n", str(2 * 10**8), "--theta", "0.01", "--trials", "2"], capsys
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("rowcover: ") and "10000000" in stderr
+
+
 def test_omf_failed_write_is_a_domain_error(tmp_path, capsys, monkeypatch):
     # A location that passes the up-front check can still fail to take
     # the write, e.g. on a full disk.

@@ -389,6 +389,54 @@ def test_phase_sum_raw_pinned_bit_for_bit():
         assert n * SparsityModel(n, above).log_q < coverage._UNDERFLOW_LOG
 
 
+# phase_sum_raw past the 385 rows of the pins above, recorded from the
+# blocked implementation that built and summed every row in full: the
+# benchmark's two large points and the log branch at n = 2000.  Here the
+# blocks are cut to a band around the rows' modes.
+PHASE_SUM_RAW_WIDE_PINS = {
+    (2000, 0.1): 2027.0864850340774,  # linear
+    (1000, 0.6): 1000.9689841592174,  # log
+    (2000, 0.6): 2000.9689841592185,  # log
+}
+
+
+def test_phase_sum_raw_pinned_bit_for_bit_past_the_band():
+    for (n, theta), value in PHASE_SUM_RAW_WIDE_PINS.items():
+        assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta)
+
+
+def test_phase_sum_raw_rows_that_fail_the_band_are_summed_in_full(monkeypatch):
+    # With no standard deviations in the band, the bound on the cells a cut
+    # linear row leaves out breaks its certificate, so the row goes to fsum
+    # in full; a cut log row's edge cell lies within 60 nats of its peak,
+    # so the row is redone over its full width.  An infinite bound on the
+    # log cells left below e^-60 sends every log row to fsum.  The values
+    # stay the pinned ones throughout.
+    fsum, row_sums = math.fsum, coverage._row_sums
+    fsums, rows = [], []
+    monkeypatch.setattr(math, "fsum", lambda terms: fsums.append(1) or fsum(terms))
+    monkeypatch.setattr(
+        coverage, "_row_sums", lambda block, *rest: rows.append(len(block)) or row_sums(block, *rest)
+    )
+
+    def phase_sums(points):
+        # (rows sent to fsum, rows built twice) over the points.
+        fsums.clear()
+        rows.clear()
+        for point in points:
+            assert phase_sum_raw(SparsityModel(*point)) == PHASE_SUM_RAW_PINS[point], point
+        return len(fsums) - len(points), sum(rows) - sum(n for n, _ in points)
+
+    linear = [(250, 0.01), (300, 0.2)]
+    log = [(146, 0.995), (300, 0.9030280321355951)]
+    assert phase_sums(linear) == phase_sums(log) == (0, 0)
+    monkeypatch.setattr(coverage, "_BAND_SDS", 0.0)
+    assert phase_sums(linear)[0] > 400
+    assert phase_sums(log)[1] > 50
+    monkeypatch.setattr(coverage, "_EXP_CUT_TAIL", math.inf)
+    assert phase_sums(log)[0] >= 146 + 300
+
+
 def _padded_block(rows):
     width = max(len(row) for row in rows)
     return np.array([row + [0.0] * (width - len(row)) for row in rows])
@@ -434,6 +482,29 @@ def test_row_sums_equal_fsum_and_fall_back_at_midpoints(monkeypatch):
     sums = row_sums(_padded_block(midpoints))
     assert sums[:3] == [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51]
     assert len(fallbacks) >= 3
+
+
+def test_row_sums_send_rows_whose_tail_bound_breaks_the_certificate_to_fsum(monkeypatch):
+    fsum = math.fsum
+    sent = []
+    monkeypatch.setattr(math, "fsum", lambda terms: sent.append(list(terms)) or fsum(terms))
+    block = np.array([[1.0, 0.5, 2.0**-30], [0.25, 0.125, 2.0**-40], [3.0, 1.0, 0.0]])
+    exact = [fsum(row) for row in block.tolist()]
+    assert coverage._row_sums(block) == exact
+    assert sent == []
+    # Half the gap under 1.5 + 2^-30 is 2^-53, so a tail of 2^-50 breaks
+    # row 0's certificate and not the others'.
+    assert coverage._row_sums(block, np.array([2.0**-50, 0.0, 0.0])) == exact
+    assert sent == [block[0].tolist()]
+    # Given the whole rows, the failing row is summed from them.
+    sent.clear()
+    whole = [1.0, 1.0, 2.0**-60]
+    sums = coverage._row_sums(block, np.array([0.0, 0.0, 1.0]), lambda i: whole)
+    assert sums == [exact[0], exact[1], 2.0] and sent == [whole]
+    # A scalar bound applies to every row.
+    sent.clear()
+    assert coverage._row_sums(block, math.inf) == exact
+    assert len(sent) == 3
 
 
 def test_phase_sum_raw_refuses_unresolvable_complement():

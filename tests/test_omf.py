@@ -171,6 +171,14 @@ def test_instance_validation_rejects_bad_algebra():
         OmfInstance(n=3, p=2, theta=0.5, v=good.v, x=good.x.T, y=good.y, seed=1)
 
 
+def test_instance_validation_rejects_wrong_v_and_y_shapes():
+    good = assemble_instance(3, 2, 0.5, 1)
+    with pytest.raises(DomainError, match="v must be 3 x 3"):
+        OmfInstance(n=3, p=2, theta=0.5, v=good.v[:2], x=good.x, y=good.y, seed=1)
+    with pytest.raises(DomainError, match="y must be 3 x 2"):
+        OmfInstance(n=3, p=2, theta=0.5, v=good.v, x=good.x, y=good.y.T, seed=1)
+
+
 # ---------------------------------------------------------- coverage check
 
 
@@ -300,3 +308,20 @@ def test_read_instance_rejects_malformed(tmp_path):
         bad.write_text(f"{header}\n{body}")
         with pytest.raises(DomainError, match="malformed instance header"):
             read_instance(bad)
+
+
+def test_read_instance_rejects_malformed_matrix_rows_and_blocks(tmp_path):
+    good = tmp_path / "good.txt"
+    write_instance(assemble_instance(2, 3, 0.5, 9), good)
+    header, *rows = good.read_text().splitlines()  # 2 V rows, then 2 X and 2 Y rows
+    bad = tmp_path / "bad.txt"
+    # A token that is no float, in the second V row.
+    garbled = "x " + rows[1].split(" ", 1)[1]
+    bad.write_text("\n".join([header, rows[0], garbled, *rows[2:]]) + "\n")
+    with pytest.raises(DomainError, match="malformed matrix row"):
+        read_instance(bad)
+    # Every X row one entry short: a 2 x 2 block where X is 2 x 3.
+    short = [row.rsplit(" ", 1)[0] for row in rows[2:4]]
+    bad.write_text("\n".join([header, *rows[:2], *short, *rows[4:]]) + "\n")
+    with pytest.raises(DomainError, match=r"malformed matrix block .*\(2, 2\)"):
+        read_instance(bad)
