@@ -10,7 +10,9 @@ instances where row coverage is the recovery-necessary condition, and
 
 `coverage` and `bounds` need no numpy and load with the package.
 `montecarlo` and `omf` import numpy, so they load on first access to
-either module, to any name they export, or to `__all__`.
+either module or to any name they export.  The package repeats those names
+in _LAZY, which a test holds equal to their `__all__`, so that a lookup of
+any other name fails without loading numpy.
 """
 
 import importlib
@@ -21,27 +23,29 @@ from .errors import DomainError
 
 __version__ = "0.1.0"
 
+_LAZY_MODULES = ("montecarlo", "omf")
+_LAZY = (
+    "Z95", "MonteCarloEstimate", "PhasePoint", "PhaseCurve", "sample_cover_time",
+    "sample_indicator_pattern", "estimate_expected_cover_time",
+    "estimate_coverage_probability", "phase_sweep",
+    "OmfInstance", "CoverageReport", "random_orthogonal", "sample_sparse_matrix",
+    "assemble_instance", "row_coverage_check", "coverage_experiment", "write_instance",
+    "read_instance",
+)
+
+__all__ = ["DomainError", *coverage.__all__, *bounds.__all__, *_LAZY, "__version__"]
+
 
 def __getattr__(name: str):
-    # Called only for names not yet in the namespace (PEP 562).  Private
-    # names are refused at once: `from . import _streams` inside montecarlo
-    # looks the submodule up here first, and importing montecarlo again
-    # from that lookup would be circular.  So is `cli`, the one submodule
-    # the package does not import: `from rowcover import cli` looks it up
-    # here before importing it, and answering would load numpy.
-    if name.startswith("_") and name != "__all__" or name == "cli":
+    # Called only for names not yet in the namespace (PEP 562).  Any name
+    # but a lazy one is refused at once: `from . import _streams` inside
+    # montecarlo, and `from rowcover import cli`, look the submodule up
+    # here before importing it, and answering would re-enter the import or
+    # load numpy.
+    if name not in _LAZY and name not in _LAZY_MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     namespace = globals()
-    lazy = [importlib.import_module(f"{__name__}.{module}") for module in ("montecarlo", "omf")]
-    for module in lazy:
+    for lazy in _LAZY_MODULES:
+        module = importlib.import_module(f"{__name__}.{lazy}")
         namespace.update((key, getattr(module, key)) for key in module.__all__)
-    namespace["__all__"] = [
-        "DomainError",
-        *coverage.__all__,
-        *bounds.__all__,
-        *(key for module in lazy for key in module.__all__),
-        "__version__",
-    ]
-    if name not in namespace:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return namespace[name]

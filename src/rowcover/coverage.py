@@ -35,8 +35,8 @@ point of the formulas rather than a special case.  Functions are pure and
 raise DomainError on invalid input.
 
 phase_sum_raw builds its binomial rows in numpy blocks, each only near
-the rows' modes, with a certified bound on the cells it leaves out (see
-its docstring).  numpy is imported only there.  Everything else here, and
+the rows' modes, with a certified bound on the cells it leaves out, and
+builds no row whose wait is exactly 1.0 (see its docstring).  numpy is imported only there.  Everything else here, and
 the bounds module built on it, runs without loading numpy.
 """
 
@@ -92,8 +92,10 @@ _EXP_UNDERFLOW = -745.2
 # phase_sum_raw builds its binomial rows only out to this many standard
 # deviations past their modes, plus a few cells, and its log rows call
 # math.exp only on cells within 60 nats of the row's peak; every cell left
-# out there is below e^-59.
+# out there is below e^-59.  It builds no row k with (n-k) ln(1/(1-theta))
+# at or past _SKIP_NATS: that row's wait is exactly 1.0.
 _BAND_SDS = 12.0
+_SKIP_NATS = 40.0
 _EXP_CUT = -60.0
 _EXP_CUT_TAIL = math.exp(_EXP_CUT + 1.0)
 
@@ -222,12 +224,12 @@ def harmonic(n: int) -> float:
     return math.fsum(map(truediv, repeat(1, n), range(1, n + 1)))
 
 
-def _row_blocks(n: int, band):
-    # (k0, k1, a, b) for rows k0 .. k1-1 of the triangle r <= k < n over the
-    # columns a .. b-1 that band(k0, k1) keeps: as many rows as fit in
-    # _BLOCK_CELLS cells, and at least one.  A band only widens as k1 grows,
-    # so a row count that fits a wider band fits every narrower one.
-    k0 = 0
+def _row_blocks(n: int, band, first: int):
+    # (k0, k1, a, b) for rows k0 .. k1-1 of the triangle r <= k, first <= k
+    # < n, over the columns a .. b-1 that band(k0, k1) keeps: as many rows as
+    # fit in _BLOCK_CELLS cells, and at least one.  A band only widens as k1
+    # grows, so a row count that fits a wider band fits every narrower one.
+    k0 = first
     while k0 < n:
         rows = max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK_CELLS) - k0) // 2)  # fits at full width
         while k0 + rows < n:
@@ -289,8 +291,8 @@ def _row_sums(block, tail=0.0, row=None) -> list[float]:
     return sums
 
 
-def _inner_complement_log(n: int, theta: float, log_q: float) -> list[float]:
-    # 1 - sum_{r=0}^{k} C(k,r) theta^r (1-theta)^(n-r) for k = 0 .. n-1, each
+def _inner_complement_log(n: int, theta: float, log_q: float, first: int) -> list[float]:
+    # 1 - sum_{r=0}^{k} C(k,r) theta^r (1-theta)^(n-r) for k = first .. n-1, each
     # term computed as exp(ln k! - ln r! - ln (k-r)! + r ln theta +
     # (n-r) ln(1-theta)) and combined by logsumexp; complement via expm1.
     # The logs are formed left to right as written, the order the pinned
@@ -348,12 +350,12 @@ def _inner_complement_log(n: int, theta: float, log_q: float) -> list[float]:
         ]
 
     complements = []
-    for k0, k1, a, b in _row_blocks(n, band):
+    for k0, k1, a, b in _row_blocks(n, band, first):
         complements += block_complements(k0, k1, a, b)
     return complements
 
 
-def _inner_complement_linear(n: int, theta: float) -> list[float]:
+def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
     # The same complements from term_0 = (1-theta)^n and the ratio recurrence
     # term_{r+1} = term_r * (k-r)/(r+1) * theta/(1-theta).  In the blocks,
     # np.multiply.accumulate takes a row's products in order from r = 0, and
@@ -390,7 +392,7 @@ def _inner_complement_linear(n: int, theta: float) -> list[float]:
         return build(k, k + 1, k + 1)[0].tolist()
 
     complements = []
-    for k0, k1, _, width in _row_blocks(n, band):
+    for k0, k1, _, width in _row_blocks(n, band, first):
         terms = build(k0, k1, width)
         if width == k1:  # no row is cut
             complements += [1.0 - total for total in _row_sums(terms)]
@@ -417,21 +419,32 @@ def phase_sum_raw(model: SparsityModel) -> float:
     are built by the ratio recurrence term_{r+1} = term_r * (k-r)/(r+1) *
     theta/(1-theta), or in log space where (1-theta)^n would underflow.
 
-    This form costs O(n^2): more than 10^8 terms n(n+1)/2, i.e. n >= 14142,
-    raise DomainError.  The rows are built and summed in numpy blocks of at
-    most 8192 cells, each row's terms formed in the order of a per-row
-    recurrence.  Each row sum is the correctly rounded one that math.fsum
-    gives: an error-free split certifies it, and the rare row it cannot
-    certify, next to a rounding midpoint, goes to fsum.  Row k is a
-    binomial(k, theta) profile, so a block is built only near its rows'
-    modes: a linear row out to c = min(k, floor(k theta + 12 sd) + 10),
-    sd = sqrt(k theta (1-theta)); a log row over 12 sd + 30 either side of
-    the modes, with math.exp called only within 60 nats of the row's peak.
-    A bound on the cells left out joins the certificate, term_c rho /
-    (1 - rho) past a linear row's falling ratio rho, e^-59 a cell in log
-    space, and a row that fails it is built in full and summed with fsum.
-    So the result has the bits of summing each whole row with fsum, which
-    the tests pin.
+    Only the rows k with (n-k) lambda < 40, lambda = ln(1/(1-theta)), are
+    built, so this form costs O(n min(n, 40/lambda)).  By the binomial
+    theorem the inner sum of row k is (1-theta)^(n-k), so each of the first
+    rows left out sums to at most e^-40 = 4.2e-18, under a tenth of 2^-54,
+    and is computed within a relative 1e-10 of that at any n allowed here.
+    Its complement, 1 - sum or -expm1 of the sum's log, lies within 0.04
+    ulp of 1 and rounds to exactly 1.0, and so does its wait.  Those waits
+    join the final fsum as one exact term, their count, and fsum, correctly
+    rounded, returns the same double as if each were summed.  lambda is at
+    most 36.8 where 1 - theta != 1, so the last row is always built.  The
+    n(n+1)/2 terms of all rows still bound the call: more than 10^8, i.e.
+    n >= 14142, raise DomainError.
+
+    The rows are built and summed in numpy blocks of at most 8192 cells,
+    each row's terms formed in the order of a per-row recurrence.  Each row
+    sum is the correctly rounded one that math.fsum gives: an error-free
+    split certifies it, and the rare row it cannot certify, next to a
+    rounding midpoint, goes to fsum.  Row k is a binomial(k, theta)
+    profile, so a block is built only near its rows' modes: a linear row
+    out to c = min(k, floor(k theta + 12 sd) + 10), sd = sqrt(k theta
+    (1-theta)); a log row over 12 sd + 30 either side of the modes, with
+    math.exp called only within 60 nats of the row's peak.  A bound on the
+    cells left out joins the certificate, term_c rho / (1 - rho) past a
+    linear row's falling ratio rho, e^-59 a cell in log space, and a row
+    that fails it is built in full and summed with fsum.  So the result has
+    the bits of summing each whole row with fsum, which the tests pin.
 
     This form also drifts at small theta, where 1 - sum cancels.  Its
     relative gap to phase_sum_expectation at n = 2 is 3.2e-11 at
@@ -450,11 +463,12 @@ def phase_sum_raw(model: SparsityModel) -> float:
             "use phase_sum_expectation"
         )
     log_q = model.log_q
+    first = max(0, n + 1 - math.ceil(min(_SKIP_NATS / -log_q, n + 1)))
     if n * log_q < _UNDERFLOW_LOG:
-        complements = _inner_complement_log(n, theta, log_q)
+        complements = _inner_complement_log(n, theta, log_q, first)
     else:
-        complements = _inner_complement_linear(n, theta)
-    return math.fsum(map(truediv, repeat(1.0, n), complements))
+        complements = _inner_complement_linear(n, theta, first)
+    return math.fsum([float(first), *map(truediv, repeat(1.0), complements)])
 
 
 def phase_sum_expectation(model: SparsityModel) -> float:

@@ -56,6 +56,10 @@ _CLIPPED_DRAW = np.iinfo(np.int64).max
 # numpy refuses, with a bare ValueError, an array of more bytes than this.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
+# Most points phase_sweep may take, each one a full estimate; a wider range
+# is refused rather than left running for hours.
+_MAX_SWEEP_POINTS = 10**5
+
 
 @dataclass(frozen=True, slots=True)
 class MonteCarloEstimate:
@@ -222,7 +226,8 @@ def phase_sweep(
     Each point runs estimate_coverage_probability under the sub-seed
     derived from (seed, p), so individual points can be reproduced in
     isolation and inserting or removing grid points never shifts the
-    others.
+    others.  A range of more than 10^5 points raises DomainError before
+    any estimate.
     """
     _checked_model(model)
     p_min = checked_int(p_min, "p_min", 0)
@@ -231,6 +236,11 @@ def phase_sweep(
         raise DomainError(f"range is inverted: p_min = {p_min}, p_max = {p_max}")
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
+    if p_max - p_min + 1 > _MAX_SWEEP_POINTS:
+        raise DomainError(
+            f"range p_min = {p_min} .. p_max = {p_max} has {p_max - p_min + 1} points, "
+            f"more than {_MAX_SWEEP_POINTS}"
+        )
     points = []
     sub_seeds = _streams.trial_seeds(seed, _streams.SWEEP_POINT, p_min, p_max + 1)
     for p, sub_seed in zip(range(p_min, p_max + 1), sub_seeds):

@@ -19,6 +19,8 @@ fail; see README, Known limitations.
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -82,6 +84,31 @@ def test_package_namespace_is_the_union_of_module_lists():
             assert getattr(rowcover, name) is getattr(module, name), name
     assert rowcover.DomainError is errors.DomainError
     assert "harmonic" not in bounds.__all__
+
+
+def test_package_lazy_names_are_those_of_montecarlo_and_omf():
+    # The package repeats these names so that it can refuse any other one
+    # without importing the two modules; the copy must not drift.
+    assert list(rowcover._LAZY) == montecarlo.__all__ + omf.__all__
+    assert rowcover._LAZY_MODULES == ("montecarlo", "omf")
+
+
+def test_package_probe_of_a_missing_name_does_not_load_numpy():
+    # A miss, a private name and __all__ leave numpy unloaded; an exported
+    # name of montecarlo then loads it.
+    script = (
+        "import sys, rowcover\n"
+        "assert not hasattr(rowcover, 'nope') and not hasattr(rowcover, '_nope')\n"
+        "assert len(rowcover.__all__) == len(set(rowcover.__all__))\n"
+        "print('numpy' in sys.modules)\n"
+        "assert callable(rowcover.phase_sweep)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nTrue\n"
 
 
 def test_harmonic_small_values():

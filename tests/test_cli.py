@@ -265,6 +265,17 @@ def test_sweep_emits_one_record_per_grid_point(capsys):
     assert len(csv_rows(csv_out)) == 16
 
 
+def test_sweep_past_the_point_ceiling_exits_one(capsys):
+    code, out, err = run_capture(
+        ["sweep", "--n", "3", "--theta", "0.5", "--p-min", "0", "--p-max", "10000000000",
+         "--trials", "1"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rowcover: ") and "more than 100000" in err
+
+
 def test_sweep_rejects_malformed_lists(capsys):
     for n, theta, message in (
         ("2,x", "0.5", "expected comma-separated integers, got '2,x'"),

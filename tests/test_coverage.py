@@ -392,11 +392,15 @@ def test_phase_sum_raw_pinned_bit_for_bit():
 # phase_sum_raw past the 385 rows of the pins above, recorded from the
 # blocked implementation that built and summed every row in full: the
 # benchmark's two large points and the log branch at n = 2000.  Here the
-# blocks are cut to a band around the rows' modes.
+# blocks are cut to a band around the rows' modes.  The log points (2000,
+# 0.3) and (1000, 0.52) were recorded from the banded implementation that
+# still built all n rows.
 PHASE_SUM_RAW_WIDE_PINS = {
     (2000, 0.1): 2027.0864850340774,  # linear
     (1000, 0.6): 1000.9689841592174,  # log
     (2000, 0.6): 2000.9689841592185,  # log
+    (2000, 0.3): 2004.7562387652695,  # log
+    (1000, 0.52): 1001.4527201077841,  # log
 }
 
 
@@ -405,36 +409,84 @@ def test_phase_sum_raw_pinned_bit_for_bit_past_the_band():
         assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta)
 
 
+def _rows_built(n, theta):
+    # The rows k that phase_sum_raw builds, those with (n-k) lambda < 40.
+    lam = -SparsityModel(n, theta).log_q
+    return sum(1 for m in range(1, n + 1) if m * lam < 40.0)
+
+
+def _counting_row_sums(monkeypatch):
+    # The numbers of rows of the blocks passed to coverage._row_sums.
+    rows, row_sums = [], coverage._row_sums
+    monkeypatch.setattr(
+        coverage, "_row_sums", lambda block, *rest: rows.append(len(block)) or row_sums(block, *rest)
+    )
+    return rows
+
+
 def test_phase_sum_raw_rows_that_fail_the_band_are_summed_in_full(monkeypatch):
     # With no standard deviations in the band, the bound on the cells a cut
     # linear row leaves out breaks its certificate, so the row goes to fsum
     # in full; a cut log row's edge cell lies within 60 nats of its peak,
     # so the row is redone over its full width.  An infinite bound on the
     # log cells left below e^-60 sends every log row to fsum.  The values
-    # stay the pinned ones throughout.
-    fsum, row_sums = math.fsum, coverage._row_sums
-    fsums, rows = [], []
+    # stay the pinned ones throughout.  Only the rows whose wait is not
+    # exactly 1.0 are built, and the counts are of those.
+    pins = {**PHASE_SUM_RAW_PINS, **PHASE_SUM_RAW_WIDE_PINS}
+    fsum = math.fsum
+    fsums = []
     monkeypatch.setattr(math, "fsum", lambda terms: fsums.append(1) or fsum(terms))
-    monkeypatch.setattr(
-        coverage, "_row_sums", lambda block, *rest: rows.append(len(block)) or row_sums(block, *rest)
-    )
+    rows = _counting_row_sums(monkeypatch)
 
     def phase_sums(points):
         # (rows sent to fsum, rows built twice) over the points.
         fsums.clear()
         rows.clear()
         for point in points:
-            assert phase_sum_raw(SparsityModel(*point)) == PHASE_SUM_RAW_PINS[point], point
-        return len(fsums) - len(points), sum(rows) - sum(n for n, _ in points)
+            assert phase_sum_raw(SparsityModel(*point)) == pins[point], point
+        return len(fsums) - len(points), sum(rows) - sum(_rows_built(*point) for point in points)
 
-    linear = [(250, 0.01), (300, 0.2)]
-    log = [(146, 0.995), (300, 0.9030280321355951)]
+    linear = [(250, 0.01), (300, 0.2)]  # 250 + 179 rows built
+    log = [(146, 0.995), (300, 0.9030280321355951), (2000, 0.3), (1000, 0.52)]  # 7 + 17 + 112 + 54
     assert phase_sums(linear) == phase_sums(log) == (0, 0)
     monkeypatch.setattr(coverage, "_BAND_SDS", 0.0)
-    assert phase_sums(linear)[0] > 400
-    assert phase_sums(log)[1] > 50
+    assert phase_sums(linear)[0] > 380
+    assert phase_sums(log)[1] > 150
     monkeypatch.setattr(coverage, "_EXP_CUT_TAIL", math.inf)
-    assert phase_sums(log)[0] >= 146 + 300
+    assert phase_sums(log)[0] >= 7 + 17 + 112 + 54
+
+
+def test_phase_sum_raw_pinned_across_the_skip_edge(monkeypatch):
+    # data/phase_sum_raw_skip_pins.json holds [n, theta, value, branch] rows
+    # recorded from the implementation that built all n rows, at theta =
+    # -expm1(-40/j) and one ulp either side, for j in {1, 2, 5, 17, 40, 100,
+    # 379, 380} and n in {j + 1, 2j + 3, 1000}: there row n - j has (n-k)
+    # lambda = 40 to within rounding.  (At j = 1 the edge rounds to theta =
+    # 1, where no row is built.)  With _SKIP_NATS infinite every row is
+    # built again, and the values do not move.
+    pins = json.loads((DATA_DIR / "phase_sum_raw_skip_pins.json").read_text(encoding="utf-8"))
+    assert {branch for *_, branch in pins} == {"linear", "log"}
+    rows = _counting_row_sums(monkeypatch)
+    for skip in (coverage._SKIP_NATS, math.inf):
+        monkeypatch.setattr(coverage, "_SKIP_NATS", skip)
+        for n, theta, value, branch in pins:
+            model = SparsityModel(n, theta)
+            assert (n * model.log_q < coverage._UNDERFLOW_LOG) == (branch == "log"), (n, theta)
+            rows.clear()
+            assert phase_sum_raw(model) == value, (n, theta, skip)
+            if theta == 1.0:
+                built = 0
+            else:
+                built = n if skip == math.inf else min(n, 40.0 / -model.log_q)
+            assert abs(sum(rows) - built) <= 1, (n, theta, skip)
+
+
+def test_phase_sum_raw_builds_only_the_rows_whose_wait_is_not_one(monkeypatch):
+    # lambda = 0.92 at theta = 0.6, so 43 of the 1000 rows have (n-k) lambda
+    # < 40; the rest are not built.
+    rows = _counting_row_sums(monkeypatch)
+    assert phase_sum_raw(SparsityModel(1000, 0.6)) == PHASE_SUM_RAW_WIDE_PINS[(1000, 0.6)]
+    assert 0 < sum(rows) <= 45
 
 
 def _padded_block(rows):

@@ -34,7 +34,7 @@ from rowcover import (
     sample_indicator_pattern,
     sample_sparse_matrix,
 )
-from rowcover import _streams
+from rowcover import _streams, montecarlo
 
 
 # ----------------------------------------------------------- determinism
@@ -381,6 +381,23 @@ def test_sweep_rejects_inverted_range():
         phase_sweep(SparsityModel(3, 0.5), 5, 4, 10, 0)
     with pytest.raises(DomainError):
         phase_sweep(SparsityModel(3, 0.5), -1, 4, 10, 0)
+
+
+def test_sweep_refuses_more_points_than_the_ceiling(monkeypatch):
+    # Each point is a full estimate, so a range past the ceiling is refused
+    # before the first one runs.
+    model = SparsityModel(3, 0.5)
+    assert montecarlo._MAX_SWEEP_POINTS == 10**5
+    monkeypatch.setattr(montecarlo, "_MAX_SWEEP_POINTS", 3)
+    assert len(phase_sweep(model, 2, 4, 10, 0).points) == 3
+
+    def no_estimate(*args):
+        raise AssertionError("an estimate ran before the range was refused")
+
+    monkeypatch.setattr(montecarlo, "estimate_coverage_probability", no_estimate)
+    for p_min, p_max in ((2, 5), (0, 10**10), (0, 2**64)):
+        with pytest.raises(DomainError, match="more than 3"):
+            phase_sweep(model, p_min, p_max, 1, 0)
 
 
 # ------------------------------------------------------- integer arguments
