@@ -474,11 +474,10 @@ def test_phase_sum_raw_pinned_across_the_skip_edge(monkeypatch):
             assert (n * model.log_q < coverage._UNDERFLOW_LOG) == (branch == "log"), (n, theta)
             rows.clear()
             assert phase_sum_raw(model) == value, (n, theta, skip)
-            if theta == 1.0:
-                built = 0
+            if skip == math.inf:
+                assert sum(rows) == (0 if theta == 1.0 else n), (n, theta)
             else:
-                built = n if skip == math.inf else min(n, 40.0 / -model.log_q)
-            assert abs(sum(rows) - built) <= 1, (n, theta, skip)
+                assert abs(sum(rows) - min(n, 40.0 / -model.log_q)) <= 1, (n, theta)
 
 
 def test_phase_sum_raw_builds_only_the_rows_whose_wait_is_not_one(monkeypatch):
