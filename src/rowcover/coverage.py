@@ -36,8 +36,9 @@ raise DomainError on invalid input.
 
 phase_sum_raw builds its binomial rows in numpy blocks, each only near
 the rows' modes, with a certified bound on the cells it leaves out, and
-builds no row whose wait is exactly 1.0 (see its docstring).  numpy is imported only there.  Everything else here, and
-the bounds module built on it, runs without loading numpy.
+builds no row whose wait is exactly 1.0 (see its docstring).  numpy is
+imported only there.  Everything else here, and the bounds module built
+on it, runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ _MAX_TAIL_TERMS = 10**8
 # phase_sum_raw sums its binomial rows in numpy blocks of at most this many
 # cells (rows x width), which bounds the memory of one call.
 _BLOCK_CELLS = 2**13
-
-# math.exp(x) is exactly 0.0 below this x, and a sum ignores zeros.
-_EXP_UNDERFLOW = -745.2
 
 # phase_sum_raw builds its binomial rows only out to this many standard
 # deviations past their modes, plus a few cells, and its log rows call
@@ -224,24 +222,22 @@ def harmonic(n: int) -> float:
     return math.fsum(map(truediv, repeat(1, n), range(1, n + 1)))
 
 
-def _row_blocks(n: int, band, first: int):
-    # (k0, k1, a, b) for rows k0 .. k1-1 of the triangle r <= k, first <= k
-    # < n, over the columns a .. b-1 that band(k0, k1) keeps: as many rows as
-    # fit in _BLOCK_CELLS cells, and at least one.  A band only widens as k1
-    # grows, so a row count that fits a wider band fits every narrower one.
+def _row_blocks(n: int, width, first: int):
+    # (k0, k1, w) for rows k0 .. k1-1 of the triangle r <= k, first <= k < n,
+    # over the columns 0 .. w-1, w = width(k1): as many rows as fit in
+    # _BLOCK_CELLS cells, and at least one.  A width only grows with k1, so
+    # a row count that fits a wider band fits every narrower one.
     k0 = first
     while k0 < n:
         rows = max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK_CELLS) - k0) // 2)  # fits at full width
         while k0 + rows < n:
-            a, b = band(k0, k0 + rows)
-            more = min(n - k0, _BLOCK_CELLS // (b - a))
-            a, b = band(k0, k0 + more)
-            more = min(more, _BLOCK_CELLS // (b - a))
+            more = min(n - k0, _BLOCK_CELLS // width(k0 + rows))
+            more = min(more, _BLOCK_CELLS // width(k0 + more))
             if more <= rows:
                 break
             rows = more
         k1 = min(n, k0 + rows)
-        yield (k0, k1, *band(k0, k1))
+        yield k0, k1, width(k1)
         k0 = k1
 
 
@@ -302,20 +298,21 @@ def _inner_complement_log(n: int, theta: float, log_q: float, first: int) -> lis
     # Only cells within 60 nats of their row's peak go to math.exp.  The
     # peak cell is exp(0) = 1, so a row sums to at least 1, and each cell
     # left out would add less than e^-59 (one nat for the rounding of the
-    # logs).  A block keeps only the columns within 12 sd + 30 of its rows'
-    # modes floor((k+1) theta), sd = sqrt(k theta (1-theta)).  The binomial
-    # pmf is log-concave, so where the edge cell of a cut row is below -60,
-    # so is every cell past it, and the row's peak is in the band.  A row
-    # whose edge cell is not is redone over its full width.
+    # logs).  One band serves every row: the columns within 12 sd + 30 of
+    # the modes floor((k+1) theta) of rows first .. n-1, sd = sqrt((n-1)
+    # theta (1-theta)).  The rows built have (n-k) lambda < 40 and theta <=
+    # lambda, so their modes lie within 41 columns of each other.  Each mode
+    # is in the band with 30 columns to spare, so a row's peak in the band
+    # is its peak over all columns.  The binomial pmf is log-concave, so
+    # where the edge cell of a cut row is below -60, so is every cell past
+    # it.  A row whose edge cell is not gets an infinite bound, and is
+    # summed in full with fsum.
     import numpy as np
 
     log_theta = math.log(theta)
     log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
-    spread = _BAND_SDS * math.sqrt(theta * (1.0 - theta))
-
-    def band(k0: int, k1: int) -> tuple[int, int]:
-        reach = int(spread * math.sqrt(k1 - 1)) + 30
-        return max(0, int((k0 + 1) * theta) - reach), min(k1, int(k1 * theta) + reach + 1)
+    reach = int(_BAND_SDS * math.sqrt(theta * (1.0 - theta)) * math.sqrt(n - 1)) + 30
+    a, b = max(0, int((first + 1) * theta) - reach), min(n, int(n * theta) + reach + 1)
 
     def shifted_logs(k0: int, k1: int, a: int, b: int):
         k = np.arange(k0, k1)[:, None]
@@ -329,29 +326,25 @@ def _inner_complement_log(n: int, theta: float, log_q: float, first: int) -> lis
         peaks = logs.max(axis=1)
         return peaks, logs - peaks[:, None]
 
-    def exps(shifted, floor: float):
-        kept = shifted >= floor
+    def full_row(k: int) -> list[float]:
+        return list(map(math.exp, shifted_logs(k, k + 1, 0, k + 1)[1][0].tolist()))
+
+    complements = []
+    rows = max(1, _BLOCK_CELLS // (b - a))
+    for k0 in range(first, n, rows):
+        k1 = min(n, k0 + rows)
+        peaks, shifted = shifted_logs(k0, k1, a, b)
+        kept = shifted >= _EXP_CUT
         values = shifted[kept]
         terms = np.zeros_like(shifted)
         terms[kept] = np.fromiter(map(math.exp, memoryview(values)), float, values.size)
-        return terms
-
-    def full_row(k: int) -> list[float]:
-        return exps(shifted_logs(k, k + 1, 0, k + 1)[1], _EXP_UNDERFLOW)[0].tolist()
-
-    def block_complements(k0: int, k1: int, a: int, b: int) -> list[float]:
-        peaks, shifted = shifted_logs(k0, k1, a, b)
-        sums = _row_sums(exps(shifted, _EXP_CUT), n * _EXP_CUT_TAIL, lambda i: full_row(k0 + i))
         k = np.arange(k0, k1)
         fits = ((a == 0) | (shifted[:, 0] < _EXP_CUT)) & ((k < b) | (shifted[:, -1] < _EXP_CUT))
-        return [
-            -math.expm1(peak + math.log(total)) if ok else block_complements(j, j + 1, 0, j + 1)[0]
-            for j, ok, peak, total in zip(range(k0, k1), fits.tolist(), peaks.tolist(), sums)
+        tail = np.where(fits, n * _EXP_CUT_TAIL, math.inf)
+        sums = _row_sums(terms, tail, lambda i: full_row(k0 + i))
+        complements += [
+            -math.expm1(peak + math.log(total)) for peak, total in zip(peaks.tolist(), sums)
         ]
-
-    complements = []
-    for k0, k1, a, b in _row_blocks(n, band, first):
-        complements += block_complements(k0, k1, a, b)
     return complements
 
 
@@ -375,9 +368,9 @@ def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
     q_n = q**n
     spread = _BAND_SDS * math.sqrt(theta * q)
 
-    def band(k0: int, k1: int) -> tuple[int, int]:
+    def band_width(k1: int) -> int:
         k = k1 - 1
-        return 0, min(k1, int(k * theta + spread * math.sqrt(k)) + 11)
+        return min(k1, int(k * theta + spread * math.sqrt(k)) + 11)
 
     def build(k0: int, k1: int, width: int):
         # (k+1) - (r+1) is k - r exactly, so k and r here stand one higher.
@@ -392,7 +385,7 @@ def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
         return build(k, k + 1, k + 1)[0].tolist()
 
     complements = []
-    for k0, k1, _, width in _row_blocks(n, band, first):
+    for k0, k1, width in _row_blocks(n, band_width, first):
         terms = build(k0, k1, width)
         if width == k1:  # no row is cut
             complements += [1.0 - total for total in _row_sums(terms)]
@@ -437,13 +430,15 @@ def phase_sum_raw(model: SparsityModel) -> float:
     sum is the correctly rounded one that math.fsum gives: an error-free
     split certifies it, and the rare row it cannot certify, next to a
     rounding midpoint, goes to fsum.  Row k is a binomial(k, theta)
-    profile, so a block is built only near its rows' modes: a linear row
-    out to c = min(k, floor(k theta + 12 sd) + 10), sd = sqrt(k theta
-    (1-theta)); a log row over 12 sd + 30 either side of the modes, with
-    math.exp called only within 60 nats of the row's peak.  A bound on the
-    cells left out joins the certificate, term_c rho / (1 - rho) past a
-    linear row's falling ratio rho, e^-59 a cell in log space, and a row
-    that fails it is built in full and summed with fsum.  So the result has
+    profile, so the rows are built only near their modes: a linear block
+    out to c = min(k, floor(k theta + 12 sd) + 10) of its last row k, sd =
+    sqrt(k theta (1-theta)); the log rows over one band, 12 sd + 30 either
+    side of the modes of all the rows built, with math.exp called only
+    within 60 nats of the row's peak.  A bound on the cells left out joins
+    the certificate, term_c rho / (1 - rho) past a linear row's falling
+    ratio rho, e^-59 a cell in log space, and a row that fails it, or a
+    log row whose band edge is not below e^-60, is built in full and
+    summed with fsum.  So the result has
     the bits of summing each whole row with fsum, which the tests pin.
 
     This form also drifts at small theta, where 1 - sum cancels.  Its

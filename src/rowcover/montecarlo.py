@@ -119,13 +119,17 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     the other rows, so the cover time is the maximum of n geometric draws,
     sampled in O(n).  A draw that numpy clipped at the int64 maximum
     raises DomainError rather than returning a cover time that is too
-    small.
+    small, and so does an n past the largest draw numpy can allocate.
     """
-    # Once per trial, so the valid case costs one isinstance test each.  numpy
-    # loads np.random lazily; importing Generator by name would cost callers
-    # that never sample about 2 MB and 10 ms.
-    if not (isinstance(model, SparsityModel) and isinstance(stream, np.random.Generator)):
-        _checked_model(model)
+    # Once per trial, so the valid case costs two isinstance tests and one
+    # compare each.  numpy loads np.random lazily; importing Generator by name
+    # would cost callers that never sample about 2 MB and 10 ms.
+    if not (
+        isinstance(model, SparsityModel)
+        and isinstance(stream, np.random.Generator)
+        and model.n * 8 <= _MAX_ARRAY_BYTES
+    ):
+        _check_draw_size("an n", _checked_model(model).n)
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
     cover_time = int(stream.geometric(model.theta, size=model.n).max())
     if cover_time == _CLIPPED_DRAW:
@@ -133,12 +137,13 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     return cover_time
 
 
-def _check_pattern_size(n: int, p: int) -> None:
-    # One n x p draw of float64 uniforms, refused before numpy is asked for
-    # an array it cannot allocate.
-    if n * p * 8 > _MAX_ARRAY_BYTES:
+def _check_draw_size(names: str, *shape: int) -> None:
+    # One draw of 8-byte values (float64 or int64) of this shape, refused
+    # before numpy is asked for an array it cannot allocate.
+    size = math.prod(shape) * 8
+    if size > _MAX_ARRAY_BYTES:
         raise DomainError(
-            f"an n x p = {n} x {p} pattern needs {n * p * 8} bytes of draws, "
+            f"{names} = {' x '.join(map(str, shape))} draw needs {size} bytes, "
             f"more than numpy can allocate ({_MAX_ARRAY_BYTES})"
         )
 
@@ -153,7 +158,7 @@ def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndar
     """
     _checked_model(model)
     p = checked_int(p, "p", 0)
-    _check_pattern_size(model.n, p)
+    _check_draw_size("an n x p", model.n, p)
     seed = _streams.checked_seed(seed)
     stream = _streams.spawn_generator(seed, _streams.PATTERN)
     return stream.random((model.n, p)) < model.theta
@@ -187,10 +192,15 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
 def estimate_expected_cover_time(
     model: SparsityModel, trials: int, seed: int
 ) -> MonteCarloEstimate:
-    """Sample mean of `trials` independent cover times with a normal CI."""
+    """Sample mean of `trials` independent cover times with a normal CI.
+
+    An n past the largest draw numpy can allocate raises DomainError before
+    any trial.
+    """
     _checked_model(model)
     trials = checked_int(trials, "trials", 2)  # two, for a confidence interval
     seed = _streams.checked_seed(seed)
+    _check_draw_size("an n", model.n)
     streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
     values = np.fromiter((sample_cover_time(model, s) for s in streams), np.int64, count=trials)
     mean = float(values.mean())
@@ -212,7 +222,7 @@ def estimate_coverage_probability(
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
     n, theta = model.n, model.theta
-    _check_pattern_size(n, p)
+    _check_draw_size("an n x p", n, p)
     streams = _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials)
     outcomes = ((s.random((n, p)) < theta).any(axis=1).all() for s in streams)
     return _proportion_estimate(outcomes, trials, seed)

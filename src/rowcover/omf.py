@@ -26,7 +26,12 @@ import numpy as np
 from . import _streams
 from .coverage import SparsityModel, _checked_model
 from .errors import DomainError, checked_int
-from .montecarlo import MonteCarloEstimate, _proportion_estimate, sample_indicator_pattern
+from .montecarlo import (
+    MonteCarloEstimate,
+    _check_draw_size,
+    _proportion_estimate,
+    sample_indicator_pattern,
+)
 
 __all__ = [
     "OmfInstance",
@@ -48,8 +53,9 @@ _RECONSTRUCTION_RTOL = 1e-8
 class OmfInstance:
     """One assembled factorization instance Y = V X.
 
-    Construction validates the defining algebra and keeps three defects
-    as attributes, in the Frobenius norm: orthogonality_error is
+    Construction checks that n and p are integers of at least 1,
+    validates the defining algebra, and keeps three defects as
+    attributes, in the Frobenius norm: orthogonality_error is
     max |V^T V - I|, at most 1e-10; reconstruction_error is
     ||V^T Y - X|| / max(1, ||X||), at most 1e-8; and
     norm_preservation_error is | ||Y|| - ||X|| | / max(1, ||X||), which
@@ -67,6 +73,8 @@ class OmfInstance:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", checked_int(self.n, "n", 1))
+        object.__setattr__(self, "p", checked_int(self.p, "p", 1))
         if self.v.shape != (self.n, self.n):
             raise DomainError(f"v must be {self.n} x {self.n}, got {self.v.shape}")
         if self.x.shape != (self.n, self.p):
@@ -109,10 +117,12 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
 
     Orthogonalizes an n x n standard normal draw and forces the triangular
     factor's diagonal positive, which makes the result unique given the
-    draw and uniformly distributed over the orthogonal group.
+    draw and uniformly distributed over the orthogonal group.  An n x n
+    draw past the largest array numpy can allocate raises DomainError.
     """
     n = checked_int(n, "n", 1)
     seed = _streams.checked_seed(seed)
+    _check_draw_size("an n x n", n, n)
     stream = _streams.spawn_generator(seed, _streams.ORTHOGONAL)
     gaussian = stream.standard_normal((n, n))
     q, r = np.linalg.qr(gaussian)

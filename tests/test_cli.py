@@ -102,6 +102,17 @@ def test_pattern_numpy_cannot_allocate_is_a_domain_error(command, capsys):
     assert err.startswith("rowcover: ") and "numpy can allocate" in err
 
 
+def test_orthogonal_draw_numpy_cannot_allocate_exits_one(capsys):
+    # The 2^32 x 2^32 float64 draw behind V is more bytes than numpy can index.
+    code, out, err = run_capture(
+        ["omf", "--n", str(2**32), "--theta", "0.5", "--p", "1", "--trials", "1"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rowcover: ") and "numpy can allocate" in err
+    assert err.count("\n") == 1
+
+
 def test_threshold_beyond_2_pow_53_is_a_domain_error(capsys):
     code, out, err = run_capture(["threshold", "--n", "2", "--theta", "1e-300"], capsys)
     assert code == 1

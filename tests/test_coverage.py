@@ -428,10 +428,11 @@ def test_phase_sum_raw_rows_that_fail_the_band_are_summed_in_full(monkeypatch):
     # With no standard deviations in the band, the bound on the cells a cut
     # linear row leaves out breaks its certificate, so the row goes to fsum
     # in full; a cut log row's edge cell lies within 60 nats of its peak,
-    # so the row is redone over its full width.  An infinite bound on the
-    # log cells left below e^-60 sends every log row to fsum.  The values
-    # stay the pinned ones throughout.  Only the rows whose wait is not
-    # exactly 1.0 are built, and the counts are of those.
+    # which gives the row an infinite bound and sends it to fsum too.  An
+    # infinite bound on the log cells left below e^-60 sends every log row
+    # to fsum.  No row is built twice, and the values stay the pinned ones
+    # throughout.  Only the rows whose wait is not exactly 1.0 are built,
+    # and the counts are of those.
     pins = {**PHASE_SUM_RAW_PINS, **PHASE_SUM_RAW_WIDE_PINS}
     fsum = math.fsum
     fsums = []
@@ -451,9 +452,23 @@ def test_phase_sum_raw_rows_that_fail_the_band_are_summed_in_full(monkeypatch):
     assert phase_sums(linear) == phase_sums(log) == (0, 0)
     monkeypatch.setattr(coverage, "_BAND_SDS", 0.0)
     assert phase_sums(linear)[0] > 380
-    assert phase_sums(log)[1] > 150
+    fsummed, twice = phase_sums(log)
+    assert fsummed > 180 and twice == 0
     monkeypatch.setattr(coverage, "_EXP_CUT_TAIL", math.inf)
-    assert phase_sums(log)[0] >= 7 + 17 + 112 + 54
+    assert phase_sums(log) == (7 + 17 + 112 + 54, 0)
+
+
+def test_phase_sum_raw_pins_hold_with_no_deviations_in_the_band(monkeypatch):
+    # With the band cut to 30 columns either side of the modes, most wide
+    # rows fail it and are summed in full; every pinned value stays.
+    pins = {**PHASE_SUM_RAW_PINS, **PHASE_SUM_RAW_WIDE_PINS}
+    for name in ("phase_sum_raw_pins.json", "phase_sum_raw_skip_pins.json"):
+        rows = json.loads((DATA_DIR / name).read_text(encoding="utf-8"))
+        pins.update(((n, theta), value) for n, theta, value, _ in rows)
+    assert len(pins) == 373
+    monkeypatch.setattr(coverage, "_BAND_SDS", 0.0)
+    for (n, theta), value in pins.items():
+        assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta)
 
 
 def test_phase_sum_raw_pinned_across_the_skip_edge(monkeypatch):

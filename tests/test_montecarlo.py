@@ -170,6 +170,17 @@ def test_sample_cover_time_refuses_a_clipped_draw():
         estimate_expected_cover_time(SparsityModel(3, 1e-300), 5, 0)
 
 
+def test_cover_time_draw_numpy_cannot_allocate_is_refused():
+    # numpy would raise a bare ValueError for either n: past the largest intp,
+    # or n int64 draws of more bytes than an intp holds.
+    stream = _streams.spawn_generator(0, _streams.COVER_TRIAL, 0)
+    for n in (10**20, 2**62):
+        with pytest.raises(DomainError, match=f"an n = {n} draw .* numpy can allocate"):
+            sample_cover_time(SparsityModel(n, 0.5), stream)
+        with pytest.raises(DomainError, match=f"an n = {n} draw .* numpy can allocate"):
+            estimate_expected_cover_time(SparsityModel(n, 0.5), 2, 0)
+
+
 def test_column_process_agrees_with_geometric_shortcut():
     # Same distribution, different sampling paths: compare the two means
     # at 3 sigma of their combined standard error.

@@ -78,6 +78,19 @@ def test_random_orthogonal_rejects_zero():
         random_orthogonal(0, 1)
 
 
+def test_orthogonal_draw_numpy_cannot_allocate_is_refused():
+    # 2^64 float64 draws are more bytes than numpy can index; it would raise
+    # a bare ValueError.  Each call stops at the n x n draw.
+    n = 2**32
+    for call in (
+        lambda: random_orthogonal(n, 0),
+        lambda: assemble_instance(n, 1, 0.5, 0),
+        lambda: coverage_experiment(n, 0.5, 1, 1, 0),
+    ):
+        with pytest.raises(DomainError, match=f"an n x n = {n} x {n} draw .* numpy can allocate"):
+            call()
+
+
 # ----------------------------------------------------------- sparse matrix
 
 
@@ -177,6 +190,19 @@ def test_instance_validation_rejects_wrong_v_and_y_shapes():
         OmfInstance(n=3, p=2, theta=0.5, v=good.v[:2], x=good.x, y=good.y, seed=1)
     with pytest.raises(DomainError, match="y must be 3 x 2"):
         OmfInstance(n=3, p=2, theta=0.5, v=good.v, x=good.x, y=good.y.T, seed=1)
+
+
+def test_instance_validation_rejects_bad_n_and_p():
+    # n = 0 would fail inside the empty Gram matrix and n = 1.0 inside np.eye;
+    # a p = 0 instance would write a file that read_instance refuses.
+    for n, p, message in ((0, 1, "n must be >= 1"), (1.0, 1, "n must be an integer"),
+                          (1, 0, "p must be >= 1")):
+        x = np.zeros((int(n), p))
+        with pytest.raises(DomainError, match=message):
+            OmfInstance(n=n, p=p, theta=0.5, v=np.eye(int(n)), x=x, y=x, seed=0)
+    instance = OmfInstance(n=np.int64(1), p=True, theta=0.5, v=np.eye(1), x=np.ones((1, 1)),
+                           y=np.ones((1, 1)), seed=0)
+    assert (type(instance.n), type(instance.p), instance.p) == (int, int, 1)
 
 
 # ---------------------------------------------------------- coverage check
