@@ -14,7 +14,8 @@ therefore give bit-identical estimates no matter how trials are chunked
 or parallelized.  The estimators here take their streams and sub-seeds from
 _streams.trial_streams and _streams.trial_seeds, which derive them in
 batches under that same scheme; a stream they yield is valid only until
-the next trial's.
+the next trial's.  Cover times are reduced by one numpy max per block of
+trials, and a call holds at most one block of draws.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
@@ -23,6 +24,7 @@ omf module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +54,9 @@ Z95 = 1.959963984540054
 # Below it, a draw is a double cast to int, and every double past 2^53 is
 # even, so this odd value only ever means a clipped draw.
 _CLIPPED_DRAW = np.iinfo(np.int64).max
+
+# Most draws in one cover-time block, unless a single trial's n is larger.
+_COVER_BLOCK_CELLS = 2**13
 
 # numpy refuses, with a bare ValueError, an array of more bytes than this.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
@@ -131,10 +136,16 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     ):
         _check_draw_size("an n", _checked_model(model).n)
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
-    cover_time = int(stream.geometric(model.theta, size=model.n).max())
-    if cover_time == _CLIPPED_DRAW:
+    return int(_cover_times(model, (stream,))[0])
+
+
+def _cover_times(model: SparsityModel, streams) -> np.ndarray:
+    # One cover time per stream, in order: one max over all their n-draw rows.
+    draws = np.concatenate([stream.geometric(model.theta, size=model.n) for stream in streams])
+    cover_times = draws.reshape(-1, model.n).max(axis=1)
+    if cover_times.max() == _CLIPPED_DRAW:
         raise DomainError(f"theta = {model.theta!r} clips a geometric draw at the int64 maximum")
-    return cover_time
+    return cover_times
 
 
 def _check_draw_size(names: str, *shape: int) -> None:
@@ -201,8 +212,11 @@ def estimate_expected_cover_time(
     trials = checked_int(trials, "trials", 2)  # two, for a confidence interval
     seed = _streams.checked_seed(seed)
     _check_draw_size("an n", model.n)
+    block = max(1, min(_streams._BLOCK, _COVER_BLOCK_CELLS // model.n))
     streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
-    values = np.fromiter((sample_cover_time(model, s) for s in streams), np.int64, count=trials)
+    values = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, block):
+        values[start:start + block] = _cover_times(model, itertools.islice(streams, block))
     mean = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(trials)
     half = Z95 * std_error

@@ -53,11 +53,12 @@ _RECONSTRUCTION_RTOL = 1e-8
 class OmfInstance:
     """One assembled factorization instance Y = V X.
 
-    Construction checks that n and p are integers of at least 1,
-    validates the defining algebra, and keeps three defects as
-    attributes, in the Frobenius norm: orthogonality_error is
-    max |V^T V - I|, at most 1e-10; reconstruction_error is
-    ||V^T Y - X|| / max(1, ||X||), at most 1e-8; and
+    Construction checks that n and p are integers of at least 1, that
+    theta lies in (0, 1] and that seed is an unsigned 64-bit integer, as
+    read_instance checks a header.  It validates the defining algebra and
+    keeps three defects as attributes, in the Frobenius norm:
+    orthogonality_error is max |V^T V - I|, at most 1e-10;
+    reconstruction_error is ||V^T Y - X|| / max(1, ||X||), at most 1e-8; and
     norm_preservation_error is | ||Y|| - ||X|| | / max(1, ||X||), which
     an orthogonal V keeps near rounding level.  They are derived, not
     dataclass fields, so repr and anything walking dataclasses.fields see
@@ -75,6 +76,8 @@ class OmfInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", checked_int(self.n, "n", 1))
         object.__setattr__(self, "p", checked_int(self.p, "p", 1))
+        object.__setattr__(self, "theta", SparsityModel(self.n, self.theta).theta)
+        object.__setattr__(self, "seed", _streams.checked_seed(self.seed))
         if self.v.shape != (self.n, self.n):
             raise DomainError(f"v must be {self.n} x {self.n}, got {self.v.shape}")
         if self.x.shape != (self.n, self.p):

@@ -124,6 +124,34 @@ def test_trial_streams_are_schedule_independent():
     assert float(values.std(ddof=1)) / math.sqrt(trials) == estimate.std_error
 
 
+def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
+    # The estimator's reductions, applied to an independently drawn sample.
+    mean = float(values.mean())
+    std_error = float(values.std(ddof=1)) / math.sqrt(values.size)
+    half = Z95 * std_error
+    return MonteCarloEstimate(mean, std_error, mean - half, mean + half, values.size, seed)
+
+
+# The estimator reduces 1,024 trials per block at n = 1 and 3, 409 at n = 20
+# and one at n = 2^13 + 1; the counts sit at, and one either side of, a
+# block edge, and 1,025 also crosses _streams' 1,024-key block.
+@pytest.mark.parametrize(
+    "n, theta, counts",
+    [(1, 0.3, (1023, 1024, 1025)), (3, 0.5, (1023, 1024, 1025)),
+     (20, 0.3, (408, 409, 410, 1025)), (2**13 + 1, 0.5, (2, 3))],
+)
+@pytest.mark.parametrize("seed", [0, 7, _TOP_SEED])
+def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, seed):
+    model = SparsityModel(n, theta)
+    values = np.array([
+        int(_streams.spawn_generator(seed, _streams.COVER_TRIAL, t).geometric(theta, n).max())
+        for t in range(max(counts))
+    ])
+    for trials in counts:
+        expected = _per_trial_estimate(values[:trials], seed)
+        assert estimate_expected_cover_time(model, trials, seed) == expected
+
+
 def test_distinct_seeds_give_distinct_samples():
     model = SparsityModel(6, 0.2)
     a = estimate_expected_cover_time(model, 400, 0)
@@ -168,6 +196,18 @@ def test_sample_cover_time_refuses_a_clipped_draw():
         sample_cover_time(SparsityModel(3, 1e-300), stream)
     with pytest.raises(DomainError, match="int64"):
         estimate_expected_cover_time(SparsityModel(3, 1e-300), 5, 0)
+
+
+def test_estimator_refuses_a_clipped_draw_past_its_first_block():
+    # Trials are reduced 1,024 at a time at n = 3.  Every draw clips at
+    # theta = 1e-300; at 7.5e-19 about one draw in 10^3 does, and under
+    # seed 36 the first is in trial 1,216, in the second block.
+    with pytest.raises(DomainError, match="int64"):
+        estimate_expected_cover_time(SparsityModel(3, 1e-300), 2049, 0)
+    model = SparsityModel(3, 7.5e-19)
+    assert estimate_expected_cover_time(model, 1216, 36).trials == 1216
+    with pytest.raises(DomainError, match="int64"):
+        estimate_expected_cover_time(model, 1217, 36)
 
 
 def test_cover_time_draw_numpy_cannot_allocate_is_refused():

@@ -205,6 +205,35 @@ def test_instance_validation_rejects_bad_n_and_p():
     assert (type(instance.n), type(instance.p), instance.p) == (int, int, 1)
 
 
+@pytest.mark.parametrize(
+    "theta, seed, message",
+    [(5.0, 0, "theta must lie in"), (math.nan, 0, "theta must lie in"),
+     (0, 0, "theta must lie in"), (0.5, -1, "seed must be >= 0"),
+     (0.5, 2**64, "seed must fit in an unsigned 64-bit integer")],
+)
+def test_instance_validation_rejects_a_header_read_instance_refuses(theta, seed, message):
+    # Each of these once built an instance whose own dump read_instance refused.
+    with pytest.raises(DomainError, match=message):
+        OmfInstance(n=1, p=1, theta=theta, v=np.eye(1), x=np.ones((1, 1)),
+                    y=np.ones((1, 1)), seed=seed)
+
+
+def test_hand_built_instance_survives_its_dump(tmp_path):
+    # numpy scalars are normalized on construction; the header once read
+    # "np.float64(0.25)", which read_instance refused.
+    instance = OmfInstance(n=1, p=2, theta=np.float64(0.25), v=-np.eye(1),
+                           x=np.array([[0.0, 1.5]]), y=np.array([[0.0, -1.5]]),
+                           seed=np.uint64(2**64 - 1))
+    path = tmp_path / "instance.txt"
+    write_instance(instance, path)
+    assert path.read_text().splitlines()[0] == f"1 2 0.25 {2**64 - 1}"
+    loaded = read_instance(path)
+    assert (loaded.n, loaded.p, loaded.theta, loaded.seed) == (1, 2, 0.25, 2**64 - 1)
+    assert (type(loaded.theta), type(instance.theta), type(instance.seed)) == (float, float, int)
+    for name in ("v", "x", "y"):
+        assert np.array_equal(getattr(loaded, name), getattr(instance, name))
+
+
 # ---------------------------------------------------------- coverage check
 
 
