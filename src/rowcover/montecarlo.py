@@ -136,7 +136,7 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
 
 def _cover_times(model: SparsityModel, streams) -> np.ndarray:
     # One cover time per stream, in order: one max over all their n-draw rows.
-    # A lone row is not copied; at n = 40000 the copy made a trial 1.3x slower.
+    # A lone row is not copied: at a large n the copy costs about a third of a trial.
     rows = [stream.geometric(model.theta, size=model.n) for stream in streams]
     draws = np.concatenate(rows) if len(rows) > 1 else rows[0]
     cover_times = draws.reshape(-1, model.n).max(axis=1)

@@ -212,15 +212,15 @@ def test_instance_validation_rejects_bad_n_and_p():
      (0.5, 2**64, "seed must fit in an unsigned 64-bit integer")],
 )
 def test_instance_validation_rejects_a_header_read_instance_refuses(theta, seed, message):
-    # Each of these once built an instance whose own dump read_instance refused.
+    # Each of these would write a header that read_instance refuses.
     with pytest.raises(DomainError, match=message):
         OmfInstance(n=1, p=1, theta=theta, v=np.eye(1), x=np.ones((1, 1)),
                     y=np.ones((1, 1)), seed=seed)
 
 
 def test_hand_built_instance_survives_its_dump(tmp_path):
-    # numpy scalars are normalized on construction; the header once read
-    # "np.float64(0.25)", which read_instance refused.
+    # numpy scalars are stored as float and int, so the header reads 0.25,
+    # not "np.float64(0.25)", which read_instance would refuse.
     instance = OmfInstance(n=1, p=2, theta=np.float64(0.25), v=-np.eye(1),
                            x=np.array([[0.0, 1.5]]), y=np.array([[0.0, -1.5]]),
                            seed=np.uint64(2**64 - 1))
