@@ -14,8 +14,18 @@ therefore give bit-identical estimates no matter how trials are chunked
 or parallelized.  The estimators here take their streams and sub-seeds from
 _streams.trial_streams and _streams.trial_seeds, which derive them in
 batches under that same scheme; a stream they yield is valid only until
-the next trial's.  Cover times are reduced by one numpy max per block of
-trials, and a call holds at most one block of draws.
+the next trial's.
+
+A cover time is the largest of n geometric(theta) draws.  It is computed
+from the variates numpy's Generator.geometric would draw from the same
+stream positions, standard exponentials below theta = 1/3 and uniforms
+from it on, by mapping only each trial's largest variate through numpy's
+transform, which is non-decreasing (see _geometric_transform).  Trials are
+reduced one numpy max per block of at most 2^13 variates, a trial past 2^13
+rows chunk by chunk, so a call holds at most one block.  The identity rests
+on numpy's sampler, which numpy's stream policy lets change between
+releases: the tests pin it on the installed numpy only, while the package
+accepts any numpy from 1.24 on, and nothing checks it at run time yet.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
@@ -24,7 +34,6 @@ omf module.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,12 +59,15 @@ __all__ = [
 # bit-reproducible without a scipy dependency.
 Z95 = 1.959963984540054
 
-# numpy's geometric sampler returns this for any draw at or past 2^63.
-# Below it, a draw is a double cast to int, and every double past 2^53 is
-# even, so this odd value only ever means a clipped draw.
-_CLIPPED_DRAW = np.iinfo(np.int64).max
+# numpy's geometric sampler clips a draw at or past 2^63 to the int64 maximum.
+_CLIP_AT = 2.0**63
 
-# Most draws in one cover-time block, unless a single trial's n is larger.
+# numpy's geometric sampler inverts an exponential below this theta (its
+# constant 0.333333333333333333333333 is this double) and searches a running
+# sum for a uniform from it on.
+_SEARCH_THETA = 1 / 3
+
+# Most variates in one cover-time block, and in one chunk of a larger n.
 _COVER_BLOCK_CELLS = 2**13
 
 # numpy refuses, with a bare ValueError, an array of more bytes than this.
@@ -122,27 +134,96 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
 
     Row i is first covered at a geometric(theta) column, independently of
     the other rows, so the cover time is the maximum of n geometric draws,
-    sampled in O(n).  A draw that numpy clipped at the int64 maximum
-    raises DomainError rather than returning a cover time that is too
-    small, and so does an n past the largest draw numpy can allocate.
+    sampled in O(n) time and O(min(n, 2^13)) memory.  It equals, and leaves
+    the stream where it leaves it, stream.geometric(theta, n).max(): the n
+    variates numpy's sampler would draw (standard exponentials below
+    theta = 1/3, uniforms from it on) are drawn, and only their largest is
+    mapped to a draw, by numpy's own transform (pinned by the tests on one
+    numpy release; see the module docstring).  A draw that numpy would
+    clip at the int64 maximum raises DomainError rather than returning a
+    cover time that is too small, and so does a uniform for which numpy's
+    sampler would never return, and an n past the largest draw numpy can
+    allocate.
     """
     _check_draw_size("an n", _checked_model(model).n)
     # numpy loads np.random lazily; importing Generator by name would cost
     # callers that never sample about 2 MB and 10 ms.
     if not isinstance(stream, np.random.Generator):
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
-    return int(_cover_times(model, (stream,))[0])
+    return int(_cover_times(model, (stream,), 1)[0])
 
 
-def _cover_times(model: SparsityModel, streams) -> np.ndarray:
-    # One cover time per stream, in order: one max over all their n-draw rows.
-    # A lone row is not copied: at a large n the copy costs about a third of a trial.
-    rows = [stream.geometric(model.theta, size=model.n) for stream in streams]
-    draws = np.concatenate(rows) if len(rows) > 1 else rows[0]
-    cover_times = draws.reshape(-1, model.n).max(axis=1)
-    if cover_times.max() == _CLIPPED_DRAW:
-        raise DomainError(f"theta = {model.theta!r} clips a geometric draw at the int64 maximum")
-    return cover_times
+def _cover_times(model: SparsityModel, streams, count: int) -> np.ndarray:
+    # The cover times of the next `count` streams, in order.  Each trial fills
+    # one row of the block with its n variates, past 2^13 rows one chunk at a
+    # time under an elementwise running max in that row; one max per block then
+    # gives every trial's largest variate, and the map makes it a cover time.
+    draw, cover_times = _geometric_transform(model.theta)
+    n = model.n
+    width = min(n, _COVER_BLOCK_CELLS)
+    block = np.empty((max(1, min(_streams._BLOCK, _COVER_BLOCK_CELLS // n, count)), width))
+    tails = []
+    if n > width:  # one trial a block: its later chunks, each with its head of the row
+        chunk = np.empty(width)
+        tails = [(chunk[:n - done], block[0, :n - done]) for done in range(width, n, width)]
+    values = np.empty(count, dtype=np.int64)
+    for start in range(0, count, len(block)):
+        used = block[:count - start]
+        for row, stream in zip(used, streams):
+            draw(stream, out=row)
+            for part, head in tails:
+                draw(stream, out=part)
+                np.maximum(head, part, out=head)
+        values[start:start + len(used)] = cover_times(used.max(axis=1))
+    return values
+
+
+def _geometric_transform(theta: float):
+    """numpy's geometric(theta) sampler as a variate and a map of its largest.
+
+    Generator.geometric draws one variate per value.  Below theta = 1/3 it is
+    a standard exponential E, mapped to ceil(-E / log1p(-theta)) and clipped
+    at the int64 maximum.  From 1/3 on it is a uniform U, mapped to the
+    smallest X with U <= S_X, where S_1 = theta and S_X adds theta(1-theta)^(X-1)
+    to S_(X-1) in numpy's own float recurrence.  Both maps are non-decreasing,
+    so the largest of n draws is the map of the largest of their variates.
+
+    Returns the Generator method that draws the variates and the map, which
+    takes an array of largest variates and returns int64 cover times.  It
+    raises DomainError where numpy would clip a draw, and where numpy would
+    not return at all: for about a fifth of theta in [1/3, 1), S_X stops
+    growing below the largest uniform numpy can draw, 1 - 2^-53, and numpy's
+    search for a U above it never ends.
+    """
+    if theta < _SEARCH_THETA:
+        scale = math.log1p(-theta)
+
+        def inverted(tops: np.ndarray) -> np.ndarray:
+            draws = np.ceil(-tops / scale)
+            if draws.max() >= _CLIP_AT:
+                raise DomainError(f"theta = {theta!r} clips a geometric draw at the int64 maximum")
+            return draws.astype(np.int64)
+
+        return np.random.Generator.standard_exponential, inverted
+    # numpy's S_X, extended only as far as the largest uniform yet mapped.
+    q = 1.0 - theta
+    sums, term = [theta], theta
+
+    def searched(tops: np.ndarray) -> np.ndarray:
+        nonlocal term
+        top = float(tops.max())
+        while sums[-1] < top:
+            total = sums[-1] + term * q
+            if total == sums[-1]:  # the terms only shrink: numpy's loop never ends
+                raise DomainError(
+                    f"theta = {theta!r} with a uniform draw of {top!r} hangs numpy's "
+                    f"geometric sampler: its running sum stops at {total!r}"
+                )
+            term *= q
+            sums.append(total)
+        return np.searchsorted(sums, tops) + 1
+
+    return np.random.Generator.random, searched
 
 
 def _check_draw_size(names: str, *shape: int) -> None:
@@ -209,11 +290,8 @@ def estimate_expected_cover_time(
     trials = checked_int(trials, "trials", 2)  # two, for a confidence interval
     seed = _streams.checked_seed(seed)
     _check_draw_size("an n", model.n)
-    block = max(1, min(_streams._BLOCK, _COVER_BLOCK_CELLS // model.n))
     streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
-    values = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, block):
-        values[start:start + block] = _cover_times(model, itertools.islice(streams, block))
+    values = _cover_times(model, streams, trials)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(trials)
     half = Z95 * std_error

@@ -9,6 +9,7 @@ stream-derivation scheme.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -134,11 +135,13 @@ def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
 
 # The estimator reduces 1,024 trials per block at n = 1 and 3, 409 at n = 20
 # and one at n = 2^13 + 1; the counts sit at, and one either side of, a
-# block edge, and 1,025 also crosses _streams' 1,024-key block.
+# block edge, and 1,025 also crosses _streams' 1,024-key block.  A trial
+# at n = 2 * 2^13 + 5 draws its variates in three chunks.
 @pytest.mark.parametrize(
     "n, theta, counts",
     [(1, 0.3, (1023, 1024, 1025)), (3, 0.5, (1023, 1024, 1025)),
-     (20, 0.3, (408, 409, 410, 1025)), (2**13 + 1, 0.5, (2, 3))],
+     (20, 0.3, (408, 409, 410, 1025)), (2**13 + 1, 0.5, (2, 3)),
+     (2 * 2**13 + 5, 0.01, (2, 3))],
 )
 @pytest.mark.parametrize("seed", [0, 7, _TOP_SEED])
 def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, seed):
@@ -150,6 +153,19 @@ def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, see
     for trials in counts:
         expected = _per_trial_estimate(values[:trials], seed)
         assert estimate_expected_cover_time(model, trials, seed) == expected
+
+
+def test_cover_time_memory_is_flat_in_n():
+    # A million rows are 8 MB of variates a trial, drawn 2^13 at a time.  The
+    # first call, untraced, loads numpy.random, about 1 MB of its own.
+    estimate_expected_cover_time(SparsityModel(3, 0.5), 2, 0)
+    tracemalloc.start()
+    try:
+        estimate_expected_cover_time(SparsityModel(10**6, 0.5), 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_distinct_seeds_give_distinct_samples():
@@ -208,6 +224,87 @@ def test_estimator_refuses_a_clipped_draw_past_its_first_block():
     assert estimate_expected_cover_time(model, 1216, 36).trials == 1216
     with pytest.raises(DomainError, match="int64"):
         estimate_expected_cover_time(model, 1217, 36)
+
+
+def _sampler_changed(what: str) -> str:
+    # A failure here means numpy changed its sampler, not that the package did.
+    return (
+        f"numpy {np.__version__} geometric sampler: {what} no longer matches "
+        "Generator.geometric(theta, n).max(); montecarlo._geometric_transform "
+        "reproduces the variate and the map of numpy 2.4.6"
+    )
+
+
+# numpy's branch edge at theta = 1/3 and the doubles either side of it, the
+# dense model, an inversion whose draws come within a few times of the
+# int64 clip, and a trial at, and one past, one chunk of variates.
+@pytest.mark.parametrize(
+    "n, theta",
+    [(3, 1 / 3), (3, math.nextafter(1 / 3, 0.0)), (3, math.nextafter(1 / 3, 1.0)),
+     (5, 1.0), (3, 2e-18), (2**13, 0.5), (2**13 + 1, 0.1)],
+)
+def test_cover_times_reproduce_numpys_geometric_sampler(n, theta):
+    model, trials = SparsityModel(n, theta), 40
+    expected, after = [], []
+    for t in range(trials):
+        stream = _streams.spawn_generator(7, _streams.COVER_TRIAL, t)
+        expected.append(int(stream.geometric(theta, n).max()))
+        after.append(stream.random())
+    streams = (_streams.spawn_generator(7, _streams.COVER_TRIAL, t) for t in range(trials))
+    cover_times = montecarlo._cover_times(model, streams, trials).tolist()
+    assert cover_times == expected, _sampler_changed("the estimator's cover time")
+    for t in range(trials):
+        stream = _streams.spawn_generator(7, _streams.COVER_TRIAL, t)
+        assert sample_cover_time(model, stream) == expected[t], _sampler_changed(
+            "sample_cover_time"
+        )
+        assert stream.random() == after[t], _sampler_changed("the stream after a cover time")
+
+
+def _numpy_search(theta: float, uniform: float) -> int | None:
+    # numpy's geometric search for one uniform, step for step; None where
+    # its running sum has stopped growing below the uniform, and numpy's
+    # loop would never end.
+    draw, total, term = 1, theta, theta
+    while uniform > total:
+        term *= 1.0 - theta
+        if total + term == total:
+            return None
+        total += term
+        draw += 1
+    return draw
+
+
+def test_search_refuses_a_uniform_numpy_would_never_reach():
+    # At theta = 0.6032894249669429 numpy's running sum stops at 1 - 2^-52,
+    # after 40 terms, so its search for the uniform 1 - 2^-53 never ends; at
+    # theta = 0.5 the sum reaches 1 and that uniform is a draw of 53.
+    largest = np.array([1.0 - 2.0**-53])
+    _, cover_times = montecarlo._geometric_transform(0.6032894249669429)
+    assert cover_times(np.array([1.0 - 2.0**-52])).tolist() == [40]
+    with pytest.raises(DomainError, match="hangs numpy's geometric sampler"):
+        cover_times(largest)
+    _, cover_times = montecarlo._geometric_transform(0.5)
+    assert cover_times(largest).tolist() == [53]
+
+
+# theta = 1/3 has the longest running sum; the uniforms run up to the
+# largest one numpy draws.
+@pytest.mark.parametrize(
+    "theta", [1 / 3, math.nextafter(1 / 3, 1.0), 0.5, 0.6032894249669429, 0.75,
+              1.0 - 2.0**-40, 1.0],
+)
+def test_search_matches_numpys_loop(theta):
+    _, cover_times = montecarlo._geometric_transform(theta)
+    uniforms = [0.0, theta, 0.5, 0.99, 1.0 - 2.0**-40, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    uniforms += np.random.default_rng(3).random(20).tolist()
+    for uniform in uniforms:
+        expected = _numpy_search(theta, uniform)
+        if expected is None:
+            with pytest.raises(DomainError, match="hangs"):
+                cover_times(np.array([uniform]))
+        else:
+            assert cover_times(np.array([uniform])).tolist() == [expected], uniform
 
 
 def test_cover_time_draw_numpy_cannot_allocate_is_refused():
