@@ -22,11 +22,16 @@ of indices in one numpy pass (_trial_keys), and a single Philox generator
 is re-keyed for each trial rather than built anew.  The scheme itself is
 unchanged; only the cost of following it is.
 
+A Bernoulli(theta) indicator is Generator.random() < theta at the next
+stream position.  raw_limit turns that into one integer compare of the
+raw Philox word, so patterns are drawn with random_raw and no doubles.
+
 Path tags are centralized here so no two consumers can collide.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -72,6 +77,21 @@ def spawn_generator(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream addressed by (seed, *path)."""
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=path)
     return np.random.Generator(np.random.Philox(sequence))
+
+
+def raw_limit(theta: float) -> np.uint64:
+    """The largest raw Philox word w whose Generator.random() double is below theta.
+
+    numpy's Generator.random() makes the double (w >> 11) * 2^-53 from the
+    next raw 64-bit word w (philox_next_double in
+    numpy/random/src/philox/philox.h).  That double is below theta exactly
+    when w >> 11 < ceil(theta * 2^53), that is, when w is at most
+    ceil(theta * 2^53) * 2^11 - 1, so random() < theta and
+    random_raw() <= raw_limit(theta) draw the same indicator from the same
+    stream position, for every theta in (0, 1]: theta = 1 gives 2^64 - 1
+    and the smallest subnormal 2047.
+    """
+    return np.uint64((math.ceil(math.ldexp(theta, 53)) << 11) - 1)
 
 
 def _trial_keys(

@@ -29,7 +29,11 @@ accepts any numpy from 1.24 on, and nothing checks it at run time yet.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
-omf module.
+omf module.  An indicator is Generator.random() < theta, and is drawn as
+one raw Philox word compared with the integer _streams.raw_limit(theta),
+which gives the same indicator from the same stream position without
+making a double.  That identity rests on numpy's double construction,
+pinned by the tests on the installed numpy only, like the sampler above.
 """
 
 from __future__ import annotations
@@ -227,8 +231,8 @@ def _geometric_transform(theta: float):
 
 
 def _check_draw_size(names: str, *shape: int) -> None:
-    # One draw of 8-byte values (float64 or int64) of this shape, refused
-    # before numpy is asked for an array it cannot allocate.
+    # One draw of 8-byte values (float64, int64 or uint64) of this shape,
+    # refused before numpy is asked for an array it cannot allocate.
     size = math.prod(shape) * 8
     if size > _MAX_ARRAY_BYTES:
         raise DomainError(
@@ -242,15 +246,17 @@ def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndar
 
     This is the package-wide pattern law: the omf module's sparse matrices
     place their nonzeros at exactly these positions for the same inputs.
-    An n x p draw past the largest array numpy can allocate raises
-    DomainError.
+    It equals spawn_generator(seed, PATTERN).random((n, p)) < theta, drawn
+    as n x p raw words compared with _streams.raw_limit(theta).  An n x p
+    draw past the largest array numpy can allocate raises DomainError.
     """
     _checked_model(model)
     p = checked_int(p, "p", 0)
     _check_draw_size("an n x p", model.n, p)
     seed = _streams.checked_seed(seed)
     stream = _streams.spawn_generator(seed, _streams.PATTERN)
-    return stream.random((model.n, p)) < model.theta
+    limit = _streams.raw_limit(model.theta)
+    return stream.bit_generator.random_raw(model.n * p).reshape(model.n, p) <= limit
 
 
 def _proportion_estimate(outcomes, trials: int, seed: int) -> MonteCarloEstimate:
@@ -310,10 +316,14 @@ def estimate_coverage_probability(
     p = checked_int(p, "p", 0)
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
-    n, theta = model.n, model.theta
+    n = model.n
     _check_draw_size("an n x p", n, p)
+    limit = _streams.raw_limit(model.theta)
     streams = _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials)
-    outcomes = ((s.random((n, p)) < theta).any(axis=1).all() for s in streams)
+    outcomes = (
+        (s.bit_generator.random_raw(n * p).reshape(n, p) <= limit).any(axis=1).all()
+        for s in streams
+    )
     return _proportion_estimate(outcomes, trials, seed)
 
 

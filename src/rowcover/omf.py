@@ -55,8 +55,10 @@ class OmfInstance:
 
     Construction checks that n and p are integers of at least 1, that
     theta lies in (0, 1] and that seed is an unsigned 64-bit integer, as
-    read_instance checks a header.  It validates the defining algebra and
-    keeps three defects as attributes, in the Frobenius norm:
+    read_instance checks a header, and that v, x and y are real numeric
+    ndarrays of their shapes.  It validates the defining algebra, refusing
+    a NaN or infinite defect, and keeps three defects as attributes, in
+    the Frobenius norm:
     orthogonality_error is max |V^T V - I|, at most 1e-10;
     reconstruction_error is ||V^T Y - X|| / max(1, ||X||), at most 1e-8; and
     norm_preservation_error is | ||Y|| - ||X|| | / max(1, ||X||), which
@@ -78,19 +80,22 @@ class OmfInstance:
         object.__setattr__(self, "p", checked_int(self.p, "p", 1))
         object.__setattr__(self, "theta", SparsityModel(self.n, self.theta).theta)
         object.__setattr__(self, "seed", _streams.checked_seed(self.seed))
-        if self.v.shape != (self.n, self.n):
-            raise DomainError(f"v must be {self.n} x {self.n}, got {self.v.shape}")
-        if self.x.shape != (self.n, self.p):
-            raise DomainError(f"x must be {self.n} x {self.p}, got {self.x.shape}")
-        if self.y.shape != (self.n, self.p):
-            raise DomainError(f"y must be {self.n} x {self.p}, got {self.y.shape}")
+        for name, matrix, cols in (("v", self.v, self.n), ("x", self.x, self.p),
+                                   ("y", self.y, self.p)):
+            if not isinstance(matrix, np.ndarray) or matrix.dtype.kind not in "biuf":
+                kind = getattr(matrix, "dtype", type(matrix).__name__)
+                raise DomainError(f"{name} must be a real numeric ndarray, got {kind}")
+            if matrix.shape != (self.n, cols):
+                raise DomainError(f"{name} must be {self.n} x {cols}, got {matrix.shape}")
+        # A NaN defect compares false both ways, so each check is written to
+        # refuse it: a NaN or infinite entry makes a defect NaN or infinite.
         gram_defect = float(np.abs(self.v.T @ self.v - np.eye(self.n)).max())
-        if gram_defect > _ORTHOGONALITY_TOL:
+        if not gram_defect <= _ORTHOGONALITY_TOL:
             raise DomainError(f"v is not orthogonal: max Gram defect {gram_defect:.3e}")
         x_norm = float(np.linalg.norm(self.x))
         scale = max(1.0, x_norm)
         residual = float(np.linalg.norm(self.v.T @ self.y - self.x)) / scale
-        if residual > _RECONSTRUCTION_RTOL:
+        if not residual <= _RECONSTRUCTION_RTOL:
             raise DomainError(f"y does not equal v @ x: relative residual {residual:.3e}")
         object.__setattr__(self, "orthogonality_error", gram_defect)
         object.__setattr__(self, "reconstruction_error", residual)

@@ -480,6 +480,22 @@ def test_indicator_pattern_shape_and_determinism():
     assert not np.array_equal(pattern, sample_indicator_pattern(model, 7, 56))
 
 
+@pytest.mark.parametrize(
+    "n, p, theta",
+    [(3, 0, 0.5), (4, 6, 1.0), (1, 1, 1.0), (7, 13, 1 / 3), (40, 30, 0.05),
+     (50, 40, 2.0**-53), (5, 9, 5e-324)],
+)
+@pytest.mark.parametrize("seed", [0, 7, _TOP_SEED])
+def test_indicator_pattern_equals_uniforms_below_theta(n, p, theta, seed):
+    pattern = sample_indicator_pattern(SparsityModel(n, theta), p, seed)
+    uniforms = _streams.spawn_generator(seed, _streams.PATTERN).random((n, p))
+    assert np.array_equal(pattern, uniforms < theta), (
+        f"numpy {np.__version__} changed Generator.random()'s double construction: "
+        "the pattern drawn as raw words under _streams.raw_limit no longer equals "
+        "random() < theta, which numpy 2.4.6 makes as (w >> 11) * 2^-53"
+    )
+
+
 def test_indicator_pattern_density():
     pattern = sample_indicator_pattern(SparsityModel(40, 0.3), 500, 8)
     fraction = pattern.mean()

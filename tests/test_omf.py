@@ -192,6 +192,54 @@ def test_instance_validation_rejects_wrong_v_and_y_shapes():
         OmfInstance(n=3, p=2, theta=0.5, v=good.v, x=good.x, y=good.y.T, seed=1)
 
 
+def _with_entry(matrix: np.ndarray, value: float) -> np.ndarray:
+    changed = matrix.copy()
+    changed[0, 0] = value
+    return changed
+
+
+# numpy warns of the NaN an infinite entry makes in v^T y before the refusal.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_instance_validation_rejects_nan_and_inf_factors():
+    # A NaN defect is neither above nor below its tolerance, so it must be
+    # refused explicitly; an infinite entry makes the residual NaN or infinite.
+    good = assemble_instance(3, 2, 0.5, 1)
+    factors = {"v": good.v, "x": good.x, "y": good.y}
+    cases = [{"v": np.full((3, 3), math.nan)}, {"v": _with_entry(good.v, math.inf)},
+             {"x": _with_entry(good.x, math.nan)}, {"x": _with_entry(good.x, math.inf)},
+             {"y": _with_entry(good.y, -math.inf)},
+             {"x": _with_entry(good.x, math.inf), "y": _with_entry(good.y, math.inf)}]
+    for case in cases:
+        with pytest.raises(DomainError, match="not orthogonal|does not equal"):
+            OmfInstance(n=3, p=2, theta=0.5, seed=1, **{**factors, **case})
+
+
+@pytest.mark.parametrize("name", ["v", "x", "y"])
+def test_instance_validation_rejects_factors_that_are_not_real_arrays(name):
+    good = assemble_instance(3, 2, 0.5, 1)
+    factors = {"v": good.v, "x": good.x, "y": good.y}
+    for bad, kind in ((factors[name].tolist(), "list"), (factors[name].astype(str), "<U"),
+                      (factors[name] + 0j, "complex128"), (None, "NoneType")):
+        with pytest.raises(DomainError, match=f"{name} must be a real numeric ndarray, got {kind}"):
+            OmfInstance(n=3, p=2, theta=0.5, seed=1, **{**factors, name: bad})
+
+
+# numpy warns of the NaN an infinite entry makes in v^T y before the refusal.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_read_instance_refuses_nan_and_inf_factors(tmp_path):
+    good = tmp_path / "good.txt"
+    write_instance(assemble_instance(2, 3, 0.5, 9), good)
+    header, *rows = good.read_text().splitlines()  # 2 V rows, then 2 X and 2 Y rows
+    bad = tmp_path / "bad.txt"
+    nan_v = [header, "nan nan", *rows[1:]]
+    inf_xy = [header, *rows[:2], "inf " + rows[2].split(" ", 1)[1], *rows[3:4],
+              "inf " + rows[4].split(" ", 1)[1], *rows[5:]]
+    for lines in (nan_v, inf_xy):
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match="not orthogonal|does not equal"):
+            read_instance(bad)
+
+
 def test_instance_validation_rejects_bad_n_and_p():
     # n = 0 would fail inside the empty Gram matrix and n = 1.0 inside np.eye;
     # a p = 0 instance would write a file that read_instance refuses.

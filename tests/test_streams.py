@@ -8,6 +8,8 @@ and against trial-by-trial rebuilds of the estimators that use them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,35 @@ def test_coverage_experiment_matches_a_reverse_rebuild():
         sub_seed = reference_key(seed, _streams.INSTANCE, t)[0]
         hits += row_coverage_check(assemble_instance(n, p, theta, sub_seed).x).covered
     assert hits / trials == estimate.mean
+
+
+# The dense model, the cover-time sampler's branch edge, a half, the smallest
+# subnormal, 2^-53 (the smallest nonzero double random() makes) and 2^-54
+# below it, each with its neighbouring doubles inside (0, 1].
+_LIMIT_THETAS = sorted({
+    near
+    for theta in (1.0, 1 / 3, 0.5, 5e-324, 2.0**-53, 2.0**-54)
+    for near in (math.nextafter(theta, 0.0), theta, math.nextafter(theta, 2.0))
+    if 0.0 < near <= 1.0
+})
+
+
+@pytest.mark.parametrize("theta", _LIMIT_THETAS)
+def test_raw_limit_splits_words_as_random_does(theta):
+    limit = int(_streams.raw_limit(theta))
+    words = {0, 2047, 2048, limit - 1, limit, limit + 1, 2**64 - 1}
+    words = {w for w in words if 0 <= w < 2**64}
+    words |= set(np.random.Philox(11).random_raw(1000).tolist())
+    mismatched = [w for w in sorted(words) if (w <= limit) != ((w >> 11) * 2.0**-53 < theta)]
+    assert not mismatched, f"theta = {theta!r}: limit {limit} splits {mismatched[:5]} wrongly"
+
+
+def test_random_is_the_raw_word_scaled():
+    raw = np.random.Philox(12).random_raw(1000)
+    uniforms = np.random.Generator(np.random.Philox(12)).random(1000)
+    # A failure here means numpy changed how random() makes a double, not
+    # that the package did.
+    assert np.array_equal((raw >> 11) * 2.0**-53, uniforms), (
+        f"numpy {np.__version__} changed Generator.random()'s double construction; "
+        "_streams.raw_limit assumes numpy 2.4.6's (w >> 11) * 2^-53 of the raw Philox word w"
+    )
