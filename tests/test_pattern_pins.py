@@ -9,6 +9,11 @@ subnormal), at p = 0, and at trial counts past the 1,024-key block of
 _streams.  Estimates are pinned by repr, patterns by the sha256 of their
 bytes.
 
+Whole OMF instances are pinned too: the sha256 of assemble_instance's v,
+x and y, and coverage_experiment's estimate, over five shapes from 1 x 1
+to 60 x 3 and 50 x 100, at seeds 0, 7, 2^32 and 2^64 - 1, with 1 and 200
+trials, and 1,025 (past the key block) at the small shapes.
+
 The pins were recorded before the pattern draw was rewritten, so a
 rewrite that moves a single indicator shows here.  To re-record, on
 purpose only:
@@ -26,6 +31,7 @@ from pathlib import Path
 
 from rowcover import (
     SparsityModel,
+    assemble_instance,
     coverage_experiment,
     estimate_coverage_probability,
     phase_sweep,
@@ -39,11 +45,19 @@ THETAS = (
     1.0, 1 / 3, math.nextafter(1 / 3, 0.0), math.nextafter(1 / 3, 1.0), 0.5,
     2.0**-53, 2.0**-54, 5e-324, 0.05,
 )
+INSTANCE_SEEDS = (0, 7, 2**32, 2**64 - 1)
+INSTANCE_SHAPES = ((1, 1, 1.0), (3, 6, 0.5), (4, 7, 0.4), (50, 100, 0.1), (60, 3, 0.05))  # n, p, theta
 
 
 def _pattern_digest(n: int, p: int, theta: float, seed: int) -> str:
     pattern = sample_indicator_pattern(SparsityModel(n, theta), p, seed)
     return f"{pattern.shape} {pattern.dtype} {hashlib.sha256(pattern.tobytes()).hexdigest()}"
+
+
+def _instance_digest(n: int, p: int, theta: float, seed: int) -> str:
+    instance = assemble_instance(n, p, theta, seed)
+    return " ".join(hashlib.sha256(getattr(instance, name).tobytes()).hexdigest()
+                    for name in "vxy")
 
 
 def cases():
@@ -68,12 +82,21 @@ def cases():
                lambda s=seed: repr(phase_sweep(SparsityModel(20, 0.1), 20, 40, 60, s)))
         yield ("coverage_experiment", f"3 6 1025 {seed} 0.5",
                lambda s=seed: repr(coverage_experiment(3, 0.5, 6, 1025, s)))
+    for seed in INSTANCE_SEEDS:
+        for n, p, theta in INSTANCE_SHAPES:
+            yield ("assemble_instance", f"{n} {p} {theta!r} {seed}",
+                   lambda n=n, p=p, th=theta, s=seed: _instance_digest(n, p, th, s))
+            for trials in (1, 200, 1025) if n * p <= 28 else (1, 200):
+                yield ("coverage_experiment", f"{n} {p} {trials} {seed} {theta!r}",
+                       lambda n=n, p=p, th=theta, t=trials, s=seed: repr(
+                           coverage_experiment(n, th, p, t, s)))
 
 
 def compute() -> dict[str, dict[str, str]]:
     pins: dict[str, dict[str, str]] = {}
     for kind, key, thunk in cases():
-        pins.setdefault(kind, {})[key] = thunk()
+        if key not in pins.setdefault(kind, {}):  # a case listed twice is computed once
+            pins[kind][key] = thunk()
     return pins
 
 
