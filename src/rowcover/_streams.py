@@ -19,8 +19,11 @@ spawn_generator addresses one stream.  Per-trial loops use trial_streams
 and trial_seeds, which produce the very same streams, and the sub-seeds,
 for a run of consecutive indices: the Philox keys are hashed for a block
 of indices in one numpy pass (_trial_keys), and a single Philox generator
-is re-keyed for each trial rather than built anew.  The scheme itself is
-unchanged; only the cost of following it is.
+is re-keyed for each trial rather than built anew (keyed_streams).  The
+OMF instances take the streams (s, tag) of many sub-seeds s at once:
+spawn_keys hashes their keys in one numpy pass over the seeds, with the
+same hash code.  The scheme itself is unchanged; only the cost of
+following it is.
 
 A Bernoulli(theta) indicator is Generator.random() < theta at the next
 stream position.  raw_limit turns that into one integer compare of the
@@ -32,7 +35,8 @@ Path tags are centralized here so no two consumers can collide.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -50,15 +54,17 @@ INSTANCE = 7
 
 _SEED_MAX = 2**64 - 1
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).  Those
+# the hash applies to arrays are 0-d uint64 arrays, which numpy combines with
+# an array faster than it does Python ints.
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
+_MASK32 = np.array(0xFFFFFFFF, np.uint64)
+_MIX_MULT_L = np.array(0xCA01F9DD, np.uint64)
+_MIX_MULT_R = np.array(0x4973F715, np.uint64)
+_XSHIFT = np.array(16, np.uint64)
 
 # Trial keys are hashed this many indices at a time, so memory stays flat
 # in the trial count.
@@ -94,6 +100,54 @@ def raw_limit(theta: float) -> np.uint64:
     return np.uint64((math.ceil(math.ldexp(theta, 53)) << 11) - 1)
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    # SeedSequence's running hash constants init * mult^i mod 2^32, i < count, as a column.
+    constants = [init * pow(mult, i, 2**32) % 2**32 for i in range(count)]
+    return np.array(constants, np.uint64)[:, None]
+
+
+# hashmix's constants for the entropy words [lo, hi, 0, 0, tag, t]: filling the
+# pool takes steps 0-3, cross-mixing it 4-15, absorbing tag 16-19 and t 20-23.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 25)
+# generate_state's output hash constants for four words.
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 5)
+# The pool words each cross-mixing source word is mixed into, in order.
+_CROSS_MIX = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def _hash(values, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of values at consecutive steps, one row per step.
+
+    Step i xors with constants[i], multiplies by constants[i + 1] and folds
+    the high half in, all mod 2^32 (hashmix, and generate_state's output
+    hash).  values broadcasts against the column constants[:-1], so a
+    (k,) vector hashed at m steps gives an (m, k) array.  Arithmetic is in
+    uint64 with every product of two 32-bit words masked back to 32 bits.
+    """
+    values = (values ^ constants[:-1]) * constants[1:] & _MASK32
+    return values ^ values >> _XSHIFT
+
+
+def _mix(pool, hashed) -> np.ndarray:
+    # SeedSequence's mix of pool words with hashed entropy; the uint64
+    # difference wraps mod 2^64, which leaves its low 32 bits right.
+    values = (_MIX_MULT_L * pool - _MIX_MULT_R * hashed) & _MASK32
+    return values ^ values >> _XSHIFT
+
+
+def _absorb(pool: np.ndarray, words, step: int) -> np.ndarray:
+    # One entropy word past the pool size, hashed at steps step .. step + 3,
+    # mixed into each of the four pool words (the rows of pool).
+    return _mix(pool, _hash(words, _HASH_A[step:step + 5]))
+
+
+def _output_keys(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # generate_state(2, np.uint64) of pools whose four words are the
+    # second-to-last axis: the words hashed, then paired low and high.
+    words = _hash(pool, _HASH_B)
+    return words[..., 0, :] | words[..., 1, :] << 32, words[..., 2, :] | words[..., 3, :] << 32
+
+
 def _trial_keys(
     seed: int, tag: int, start: int, stop: int
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -109,35 +163,15 @@ def _trial_keys(
     constants that advance independently of the data.  So the pool after
     the tag word is shared by every t (it is the pool of the sequence with
     spawn_key=(tag,)), and absorbing t and drawing the output words is the
-    same arithmetic for each index: one vectorized pass over the block, in
-    uint64 with every product of two 32-bit words masked back to 32 bits.
+    same arithmetic for each index: one vectorized pass over the block.
     An index of 2**32 or more is two words long; those indices, which no
     feasible run reaches, are hashed by SeedSequence itself.
     """
-    pool = np.random.SeedSequence(entropy=seed, spawn_key=(tag,)).pool.tolist()
-    # Filling the pool, cross-mixing it and absorbing the tag took 4 + 12 + 4
-    # hash steps before t's turn.
-    hash_a = _INIT_A * pow(_MULT_A, 20, 2**32) & _MASK32
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(tag,)).pool.astype(np.uint64)[:, None]
     for low in range(start, stop, _BLOCK):
         high = min(low + _BLOCK, stop)
         index = np.arange(low, min(high, 2**32), dtype=np.uint64)
-        words = []
-        a, b = hash_a, _INIT_B
-        for mixed in pool:
-            value = index ^ a  # hashmix(t), with this pool word's constant
-            a = a * _MULT_A & _MASK32
-            value = value * a & _MASK32
-            value ^= value >> _XSHIFT
-            # mix(pool word, hashmix(t)); the uint64 difference wraps mod 2**64.
-            value = ((_MIX_MULT_L * mixed & _MASK32) - _MIX_MULT_R * value) & _MASK32
-            value ^= value >> _XSHIFT
-            value ^= b  # generate_state's output hash
-            b = b * _MULT_B & _MASK32
-            value = value * b & _MASK32
-            value ^= value >> _XSHIFT
-            words.append(value)
-        key0 = (words[0] | words[1] << 32).tolist()
-        key1 = (words[2] | words[3] << 32).tolist()
+        key0, key1 = (key.tolist() for key in _output_keys(_absorb(pool, index, 20)))
         for t in range(max(low, 2**32), high):
             sequence = np.random.SeedSequence(entropy=seed, spawn_key=(tag, t))
             first, second = sequence.generate_state(2, np.uint64).tolist()
@@ -146,11 +180,34 @@ def _trial_keys(
         yield key0, key1
 
 
-def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Generator]:
-    """The generators spawn_generator(seed, tag, t) for t = 0 .. trials - 1, in order.
+def spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Philox keys of spawn_generator(s, tag) for each tag, and each s in seeds within it.
 
-    One Philox generator is re-keyed in place for every trial: counter
-    zero and an empty output buffer, exactly as freshly constructed.  A
+    The key of (s, tag) is SeedSequence(entropy=s, spawn_key=(tag,))
+    .generate_state(2, np.uint64), as a pair of ints.  All of them come
+    from one vectorized pass over the seeds: each seed's entropy words
+    [lo, hi, 0, 0] fill and cross-mix its four-word pool, each tag word is
+    absorbed into a copy of it, and the output hash makes the keys.
+    """
+    seeds = np.array(seeds, dtype=np.uint64)
+    entropy = np.zeros((4, len(seeds)), dtype=np.uint64)
+    entropy[0] = seeds & _MASK32
+    entropy[1] = seeds >> 32
+    pool = _hash(entropy, _HASH_A[:5])
+    for src, dsts in enumerate(_CROSS_MIX):
+        step = 4 + 3 * src
+        pool[dsts] = _mix(pool[dsts], _hash(pool[src], _HASH_A[step:step + 4]))
+    tagged = _absorb(pool, np.array(tags, dtype=np.uint64)[:, None, None], 16)
+    key0, key1 = _output_keys(tagged)
+    return zip(key0.ravel().tolist(), key1.ravel().tolist())
+
+
+def keyed_streams(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """The generators of the Philox keys in keys, in order.
+
+    One Philox generator is re-keyed in place for every key: counter
+    zero and an empty output buffer, exactly as freshly constructed from
+    a SeedSequence whose generate_state(2, np.uint64) is the key.  A
     yielded stream is therefore valid only until the next one is yielded.
     """
     bit_generator = np.random.Philox(0)
@@ -164,11 +221,20 @@ def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Genera
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key0, key1 in _trial_keys(seed, tag, 0, trials):
-        for key in zip(key0, key1):
-            keyed["key"] = key
-            bit_generator.state = state
-            yield generator
+    for key in keys:
+        keyed["key"] = key
+        bit_generator.state = state
+        yield generator
+
+
+def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Generator]:
+    """The generators spawn_generator(seed, tag, t) for t = 0 .. trials - 1, in order.
+
+    They come from keyed_streams, so a yielded stream is valid only until
+    the next one is yielded.
+    """
+    blocks = _trial_keys(seed, tag, 0, trials)
+    return keyed_streams(chain.from_iterable(zip(key0, key1) for key0, key1 in blocks))
 
 
 def trial_seeds(seed: int, tag: int, start: int, stop: int) -> Iterator[int]:

@@ -13,12 +13,24 @@ X's indicator pattern follows the package-wide pattern law: for equal
 montecarlo.sample_indicator_pattern.  No factorization is attempted here;
 only the necessary condition and the orthogonality identities are
 checked.
+
+Instances are built a block at a time.  The Philox keys of a block's
+streams (seed, ORTHOGONAL), (seed, PATTERN) and (seed, VALUES) come from
+one numpy pass in _streams.spawn_keys, and one generator is re-keyed to
+each in turn.  Each instance's Gaussians, raw pattern words and values
+are drawn into stacked buffers of at most 2^15 doubles a block; one
+stacked QR with its sign fix gives the block's V, one np.where its X and
+one stacked matmul its Y.  A single instance is a block of one, so
+assemble_instance, random_orthogonal and sample_sparse_matrix return the
+factors coverage_experiment checks, bit for bit.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +38,7 @@ import numpy as np
 from . import _streams
 from .coverage import SparsityModel, _checked_model
 from .errors import DomainError, checked_int
-from .montecarlo import (
-    MonteCarloEstimate,
-    _check_draw_size,
-    _proportion_estimate,
-    sample_indicator_pattern,
-)
+from .montecarlo import MonteCarloEstimate, _check_draw_size, _proportion_estimate
 
 __all__ = [
     "OmfInstance",
@@ -47,6 +54,13 @@ __all__ = [
 
 _ORTHOGONALITY_TOL = 1e-10
 _RECONSTRUCTION_RTOL = 1e-8
+
+# Most doubles in one block's stacked draws: n x n Gaussians and n x p values
+# per instance.  A larger instance is a block of its own.
+_BLOCK_CELLS = 2**15
+
+# The streams of one instance, in the order a block draws them.
+_FACTOR_TAGS = (_streams.ORTHOGONAL, _streams.PATTERN, _streams.VALUES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,19 +103,21 @@ class OmfInstance:
                 raise DomainError(f"{name} must be {self.n} x {cols}, got {matrix.shape}")
         # A NaN defect compares false both ways, so each check is written to
         # refuse it: a NaN or infinite entry makes a defect NaN or infinite.
-        gram_defect = float(np.abs(self.v.T @ self.v - np.eye(self.n)).max())
+        # numpy would warn of the NaN or overflow such entries make inside
+        # the products; the checks below report them instead.
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram_defect = float(np.abs(self.v.T @ self.v - np.eye(self.n)).max())
+            x_norm = float(np.linalg.norm(self.x))
+            scale = max(1.0, x_norm)
+            residual = float(np.linalg.norm(self.v.T @ self.y - self.x)) / scale
+            norm_gap = abs(float(np.linalg.norm(self.y)) - x_norm) / scale
         if not gram_defect <= _ORTHOGONALITY_TOL:
             raise DomainError(f"v is not orthogonal: max Gram defect {gram_defect:.3e}")
-        x_norm = float(np.linalg.norm(self.x))
-        scale = max(1.0, x_norm)
-        residual = float(np.linalg.norm(self.v.T @ self.y - self.x)) / scale
         if not residual <= _RECONSTRUCTION_RTOL:
             raise DomainError(f"y does not equal v @ x: relative residual {residual:.3e}")
         object.__setattr__(self, "orthogonality_error", gram_defect)
         object.__setattr__(self, "reconstruction_error", residual)
-        object.__setattr__(
-            self, "norm_preservation_error", abs(float(np.linalg.norm(self.y)) - x_norm) / scale
-        )
+        object.__setattr__(self, "norm_preservation_error", norm_gap)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,22 +136,74 @@ class CoverageReport:
             raise DomainError(f"inconsistent coverage report: {self}")
 
 
+def _orthogonal_factors(streams: Iterator[np.random.Generator], count: int, n: int) -> np.ndarray:
+    """The orthogonal factors the next count streams make, stacked.
+
+    Each stream draws an n x n standard normal matrix.  One stacked QR
+    factors them, and each Q's columns take the signs of R's diagonal, so
+    that the factor is unique given the draw and Haar-distributed over the
+    orthogonal group (Mezzadri, "How to generate random matrices from the
+    classical compact groups", Notices AMS 54, 2007).
+    """
+    gaussians = np.empty((count, n, n))
+    # zip takes a row before a stream, so the stream after the last row is
+    # left for the caller's next draw.
+    for gaussian, stream in zip(gaussians, streams):
+        stream.standard_normal(out=gaussian)
+    q, r = np.linalg.qr(gaussians)
+    signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    return q * signs[:, np.newaxis, :]
+
+
+def _sparse_factors(
+    streams: Iterator[np.random.Generator], count: int, model: SparsityModel, p: int
+) -> np.ndarray:
+    """The sparse factors of count pattern streams, then count value streams, stacked.
+
+    A pattern stream draws the n x p indicators of sample_indicator_pattern
+    (raw words at most raw_limit(theta)), and a value stream n x p
+    standard normals; an entry is its value where its indicator is set.
+    """
+    n = model.n
+    limit = _streams.raw_limit(model.theta)
+    pattern = np.empty((count, n * p), dtype=bool)
+    for indicators, stream in zip(pattern, streams):
+        np.less_equal(stream.bit_generator.random_raw(n * p), limit, out=indicators)
+    values = np.empty((count, n, p))
+    for value, stream in zip(values, streams):
+        stream.standard_normal(out=value)
+    return np.where(pattern.reshape(count, n, p), values, 0.0)
+
+
+def _instance_blocks(
+    model: SparsityModel, p: int, seeds: Iterable[int]
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """Each block of seeds with the stacked V, X and Y = V X of its instances (model, p, seed)."""
+    n = model.n
+    size = max(1, min(_streams._BLOCK, _BLOCK_CELLS // (n * n + n * p)))
+    seeds = iter(seeds)
+    while block := list(islice(seeds, size)):
+        streams = _streams.keyed_streams(_streams.spawn_keys(block, _FACTOR_TAGS))
+        v = _orthogonal_factors(streams, len(block), n)
+        x = _sparse_factors(streams, len(block), model, p)
+        yield block, v, x, v @ x
+
+
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
     """A random n x n orthogonal matrix, deterministic in (n, seed).
 
-    Orthogonalizes an n x n standard normal draw and forces the triangular
-    factor's diagonal positive, which makes the result unique given the
-    draw and uniformly distributed over the orthogonal group.  An n x n
-    draw past the largest array numpy can allocate raises DomainError.
+    Orthogonalizes an n x n standard normal draw from the stream
+    (seed, ORTHOGONAL) and forces the triangular factor's diagonal
+    positive, which makes the result unique given the draw and uniformly
+    distributed over the orthogonal group.  It is the V of every instance
+    with this seed, built as a block of one.  An n x n draw past the
+    largest array numpy can allocate raises DomainError.
     """
     n = checked_int(n, "n", 1)
     seed = _streams.checked_seed(seed)
     _check_draw_size("an n x n", n, n)
-    stream = _streams.spawn_generator(seed, _streams.ORTHOGONAL)
-    gaussian = stream.standard_normal((n, n))
-    q, r = np.linalg.qr(gaussian)
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs
+    streams = _streams.keyed_streams(_streams.spawn_keys([seed], (_streams.ORTHOGONAL,)))
+    return _orthogonal_factors(streams, 1, n)[0]
 
 
 def sample_sparse_matrix(model: SparsityModel, p: int, seed: int) -> np.ndarray:
@@ -143,27 +211,33 @@ def sample_sparse_matrix(model: SparsityModel, p: int, seed: int) -> np.ndarray:
 
     The indicator pattern comes from the shared pattern stream and the
     values from a separate stream, so the pattern is unchanged by how the
-    values are drawn and matches sample_indicator_pattern exactly.
+    values are drawn and matches sample_indicator_pattern exactly.  It is
+    the X of every instance with this seed, built as a block of one.  An
+    n x p draw past the largest array numpy can allocate raises
+    DomainError.
     """
     _checked_model(model)
     p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
-    pattern = sample_indicator_pattern(model, p, seed)
-    values = _streams.spawn_generator(seed, _streams.VALUES).standard_normal(
-        (model.n, p)
-    )
-    return np.where(pattern, values, 0.0)
+    _check_draw_size("an n x p", model.n, p)
+    keys = _streams.spawn_keys([seed], (_streams.PATTERN, _streams.VALUES))
+    return _sparse_factors(_streams.keyed_streams(keys), 1, model, p)[0]
 
 
 def assemble_instance(n: int, p: int, theta: float, seed: int) -> OmfInstance:
-    """Build Y = V X for the given shape, density, and seed."""
+    """Build Y = V X for the given shape, density, and seed.
+
+    V is random_orthogonal(n, seed) and X sample_sparse_matrix's draw for
+    (n, theta), p and seed; the instance is built as a block of one, as
+    coverage_experiment builds its instances.
+    """
     model = SparsityModel(n, theta)
     p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
-    v = random_orthogonal(n, seed)
-    x = sample_sparse_matrix(model, p, seed)
-    y = v @ x
-    return OmfInstance(n=model.n, p=p, theta=model.theta, v=v, x=x, y=y, seed=seed)
+    _check_draw_size("an n x n", model.n, model.n)
+    _check_draw_size("an n x p", model.n, p)
+    _, v, x, y = next(_instance_blocks(model, p, [seed]))
+    return OmfInstance(n=model.n, p=p, theta=model.theta, v=v[0], x=x[0], y=y[0], seed=seed)
 
 
 def row_coverage_check(x: np.ndarray) -> CoverageReport:
@@ -191,16 +265,31 @@ def coverage_experiment(
 ) -> MonteCarloEstimate:
     """Fraction of assembled instances whose X passes row_coverage_check.
 
-    Each trial assembles a full instance under the sub-seed derived from
-    (seed, trial), so the experiment exercises the whole pipeline; the hit
-    law is identical to montecarlo.estimate_coverage_probability because
-    both draw the pattern from the shared pattern stream.
+    Trial t's instance is assemble_instance(n, p, theta, s) for the
+    sub-seed s of (seed, INSTANCE, t), built a block of instances at a
+    time, and each is checked by OmfInstance as assemble_instance's is, so
+    the experiment exercises the whole pipeline.  The hit law is identical
+    to montecarlo.estimate_coverage_probability because both draw the
+    pattern from the shared pattern stream.  trials and seed are checked
+    first, then n, theta, p and the n x n and n x p draw sizes, all before
+    any draw.
     """
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
+    model = SparsityModel(n, theta)
+    p = checked_int(p, "p", 1)
+    _check_draw_size("an n x n", model.n, model.n)
+    _check_draw_size("an n x p", model.n, p)
     sub_seeds = _streams.trial_seeds(seed, _streams.INSTANCE, 0, trials)
-    outcomes = (row_coverage_check(assemble_instance(n, p, theta, s).x).covered for s in sub_seeds)
-    return _proportion_estimate(outcomes, trials, seed)
+
+    def outcomes() -> Iterator[bool]:
+        for block, v, x, y in _instance_blocks(model, p, sub_seeds):
+            for sub_seed, v_i, x_i, y_i in zip(block, v, x, y):
+                OmfInstance(n=model.n, p=p, theta=model.theta, v=v_i, x=x_i, y=y_i, seed=sub_seed)
+            # row_coverage_check(x_i).covered: every row of x_i holds a nonzero.
+            yield from (x != 0).any(axis=2).all(axis=1).tolist()
+
+    return _proportion_estimate(outcomes(), trials, seed)
 
 
 def _checked_path(path: object) -> Path:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from rowcover import (
     sample_sparse_matrix,
     write_instance,
 )
+from rowcover import _streams
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -198,20 +200,24 @@ def _with_entry(matrix: np.ndarray, value: float) -> np.ndarray:
     return changed
 
 
-# numpy warns of the NaN an infinite entry makes in v^T y before the refusal.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_instance_validation_rejects_nan_and_inf_factors():
     # A NaN defect is neither above nor below its tolerance, so it must be
     # refused explicitly; an infinite entry makes the residual NaN or infinite.
+    # numpy's matmul would warn of the NaN or overflow first; no warning may
+    # come before the refusal.
     good = assemble_instance(3, 2, 0.5, 1)
     factors = {"v": good.v, "x": good.x, "y": good.y}
     cases = [{"v": np.full((3, 3), math.nan)}, {"v": _with_entry(good.v, math.inf)},
+             {"v": _with_entry(good.v, 1e300)},
              {"x": _with_entry(good.x, math.nan)}, {"x": _with_entry(good.x, math.inf)},
              {"y": _with_entry(good.y, -math.inf)},
              {"x": _with_entry(good.x, math.inf), "y": _with_entry(good.y, math.inf)}]
     for case in cases:
-        with pytest.raises(DomainError, match="not orthogonal|does not equal"):
-            OmfInstance(n=3, p=2, theta=0.5, seed=1, **{**factors, **case})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="not orthogonal|does not equal"):
+                OmfInstance(n=3, p=2, theta=0.5, seed=1, **{**factors, **case})
+        assert [str(w.message) for w in caught] == [], sorted(case)
 
 
 @pytest.mark.parametrize("name", ["v", "x", "y"])
@@ -224,8 +230,6 @@ def test_instance_validation_rejects_factors_that_are_not_real_arrays(name):
             OmfInstance(n=3, p=2, theta=0.5, seed=1, **{**factors, name: bad})
 
 
-# numpy warns of the NaN an infinite entry makes in v^T y before the refusal.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_read_instance_refuses_nan_and_inf_factors(tmp_path):
     good = tmp_path / "good.txt"
     write_instance(assemble_instance(2, 3, 0.5, 9), good)
@@ -236,8 +240,11 @@ def test_read_instance_refuses_nan_and_inf_factors(tmp_path):
               "inf " + rows[4].split(" ", 1)[1], *rows[5:]]
     for lines in (nan_v, inf_xy):
         bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DomainError, match="not orthogonal|does not equal"):
-            read_instance(bad)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="not orthogonal|does not equal"):
+                read_instance(bad)
+        assert [str(w.message) for w in caught] == []
 
 
 def test_instance_validation_rejects_bad_n_and_p():
@@ -333,6 +340,36 @@ def test_coverage_report_consistency_enforced():
 def test_coverage_experiment_rejects_bad_integers(p, trials, name):
     with pytest.raises(DomainError, match=name):
         coverage_experiment(3, 0.5, p, trials, 1)
+
+
+def _no_draw(*args):
+    raise AssertionError("drew before refusing")
+
+
+@pytest.mark.parametrize(
+    "n, theta, p, message",
+    [(0, 0.5, 6, "n must be >= 1"), (1.0, 0.5, 6, "n must be an integer"),
+     (3, 0, 6, "theta must lie in"), (3, math.nan, 6, "theta must lie in"),
+     (3, 1.5, 6, "theta must lie in"), (3, 0.5, 0, "p must be >= 1"),
+     (3, 0.5, 1.0, "p must be an integer"),
+     (2**32, 0.5, 1, "an n x n = 4294967296 x 4294967296 draw .* numpy can allocate")],
+)
+def test_coverage_experiment_refuses_as_assemble_instance_does(n, theta, p, message, monkeypatch):
+    # The same DomainError, with the same text, and before any stream is keyed.
+    with pytest.raises(DomainError, match=message) as assembled:
+        assemble_instance(n, p, theta, 3)
+    monkeypatch.setattr(_streams, "spawn_keys", _no_draw)
+    monkeypatch.setattr(_streams, "keyed_streams", _no_draw)
+    with pytest.raises(DomainError, match=message) as experimented:
+        coverage_experiment(n, theta, p, 4, 3)
+    assert str(experimented.value) == str(assembled.value)
+
+
+def test_coverage_experiment_takes_a_bool_n():
+    # True is the int 1, for the instances and the experiment alike.
+    assert coverage_experiment(True, 0.5, 4, 6, 2) == coverage_experiment(1, 0.5, 4, 6, 2)
+    instance = assemble_instance(True, 4, 0.5, 2)
+    assert (type(instance.n), instance.n, instance.x.shape) == (int, 1, (1, 4))
 
 
 def test_coverage_experiment_dense_always_covered():

@@ -46,7 +46,8 @@ THETAS = (
     2.0**-53, 2.0**-54, 5e-324, 0.05,
 )
 INSTANCE_SEEDS = (0, 7, 2**32, 2**64 - 1)
-INSTANCE_SHAPES = ((1, 1, 1.0), (3, 6, 0.5), (4, 7, 0.4), (50, 100, 0.1), (60, 3, 0.05))  # n, p, theta
+# n, p, theta
+INSTANCE_SHAPES = ((1, 1, 1.0), (3, 6, 0.5), (4, 7, 0.4), (50, 100, 0.1), (60, 3, 0.05))
 
 
 def _pattern_digest(n: int, p: int, theta: float, seed: int) -> str:

@@ -1,9 +1,10 @@
 """Tests for the batched stream derivation in _streams.
 
-trial_streams and trial_seeds must reproduce spawn_generator and the
-SeedSequence sub-seeds bit for bit: same Philox keys, same sub-seeds,
-same draws.  These compare them against numpy's SeedSequence directly
-and against trial-by-trial rebuilds of the estimators that use them.
+trial_streams, trial_seeds and spawn_keys must reproduce spawn_generator
+and the SeedSequence sub-seeds bit for bit: same Philox keys, same
+sub-seeds, same draws.  These compare them against numpy's SeedSequence
+directly and against trial-by-trial rebuilds of the estimators that use
+them.
 """
 
 from __future__ import annotations
@@ -61,6 +62,33 @@ def test_trial_seeds_match_seed_sequence(seed):
         seeds = list(_streams.trial_seeds(seed, tag, start, stop))
         assert seeds == [reference_key(seed, tag, t)[0] for t in range(start, stop)]
         assert all(type(value) is int for value in seeds)
+
+
+def test_spawn_keys_match_seed_sequence():
+    # spawn_keys hashes a vector of seeds, entropy words and all, where
+    # _trial_keys starts from one seed's pool; both copy SeedSequence's hash.
+    tags = (_streams.ORTHOGONAL, _streams.PATTERN, _streams.VALUES)
+    random = np.random.default_rng(2024).integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *random.tolist()]
+    keys = list(_streams.spawn_keys(seeds, tags))
+    expected = [
+        tuple(np.random.SeedSequence(entropy=s, spawn_key=(tag,)).generate_state(2, np.uint64))
+        for tag in tags for s in seeds
+    ]
+    mismatched = [i for i, (key, want) in enumerate(zip(keys, expected)) if key != want]
+    assert len(keys) == len(expected) and not mismatched, (
+        f"numpy {np.__version__}: _streams.spawn_keys differs from "
+        f"SeedSequence(entropy=s, spawn_key=(tag,)).generate_state(2, np.uint64) at "
+        f"{[(tags[i // len(seeds)], seeds[i % len(seeds)]) for i in mismatched[:5]]}"
+    )
+    assert all(type(word) is int for key in keys[:3] for word in key)
+
+
+def test_keyed_streams_draw_like_fresh_ones():
+    keys = _streams.spawn_keys([5, 2**64 - 1], (_streams.PATTERN, _streams.VALUES))
+    fresh = [(s, tag) for tag in (_streams.PATTERN, _streams.VALUES) for s in (5, 2**64 - 1)]
+    for stream, (seed, tag) in zip(_streams.keyed_streams(keys), fresh, strict=True):
+        assert draws(stream) == draws(_streams.spawn_generator(seed, tag))
 
 
 def test_trial_streams_count_and_empty_range():
