@@ -20,9 +20,9 @@ and trial_seeds, which produce the very same streams, and the sub-seeds,
 for a run of consecutive indices: the Philox keys are hashed for a block
 of indices in one numpy pass (_trial_keys), and a single Philox generator
 is re-keyed for each trial rather than built anew (keyed_streams).  The
-OMF instances take the streams (s, tag) of many sub-seeds s at once:
-spawn_keys hashes their keys in one numpy pass over the seeds, with the
-same hash code.  The scheme itself is unchanged; only the cost of
+OMF instances take the streams (s, tag) of many sub-seeds s at once from
+spawn_streams, whose keys are hashed in one numpy pass over the seeds
+(_spawn_keys), with the same hash code.  The scheme itself is unchanged; only the cost of
 following it is.
 
 A Bernoulli(theta) indicator is Generator.random() < theta at the next
@@ -180,7 +180,7 @@ def _trial_keys(
         yield key0, key1
 
 
-def spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+def _spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """Philox keys of spawn_generator(s, tag) for each tag, and each s in seeds within it.
 
     The key of (s, tag) is SeedSequence(entropy=s, spawn_key=(tag,))
@@ -225,6 +225,16 @@ def keyed_streams(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generat
         keyed["key"] = key
         bit_generator.state = state
         yield generator
+
+
+def spawn_streams(seeds: list[int], tags: tuple[int, ...]) -> Iterator[np.random.Generator]:
+    """The generators spawn_generator(s, tag) for each tag, and each s in seeds within it.
+
+    Their keys come from one numpy pass over the seeds (_spawn_keys), and
+    they from keyed_streams, so a yielded stream is valid only until the
+    next one is yielded.
+    """
+    return keyed_streams(_spawn_keys(seeds, tags))
 
 
 def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Generator]:

@@ -16,7 +16,7 @@ checked.
 
 Instances are built a block at a time.  The Philox keys of a block's
 streams (seed, ORTHOGONAL), (seed, PATTERN) and (seed, VALUES) come from
-one numpy pass in _streams.spawn_keys, and one generator is re-keyed to
+one numpy pass in _streams.spawn_streams, which re-keys one generator to
 each in turn.  Each instance's Gaussians, raw pattern words and values
 are drawn into stacked buffers of at most 2^15 doubles a block; one
 stacked QR with its sign fix gives the block's V, one np.where its X and
@@ -183,7 +183,7 @@ def _instance_blocks(
     size = max(1, min(_streams._BLOCK, _BLOCK_CELLS // (n * n + n * p)))
     seeds = iter(seeds)
     while block := list(islice(seeds, size)):
-        streams = _streams.keyed_streams(_streams.spawn_keys(block, _FACTOR_TAGS))
+        streams = _streams.spawn_streams(block, _FACTOR_TAGS)
         v = _orthogonal_factors(streams, len(block), n)
         x = _sparse_factors(streams, len(block), model, p)
         yield block, v, x, v @ x
@@ -202,7 +202,7 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     n = checked_int(n, "n", 1)
     seed = _streams.checked_seed(seed)
     _check_draw_size("an n x n", n, n)
-    streams = _streams.keyed_streams(_streams.spawn_keys([seed], (_streams.ORTHOGONAL,)))
+    streams = _streams.spawn_streams([seed], (_streams.ORTHOGONAL,))
     return _orthogonal_factors(streams, 1, n)[0]
 
 
@@ -220,8 +220,8 @@ def sample_sparse_matrix(model: SparsityModel, p: int, seed: int) -> np.ndarray:
     p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
     _check_draw_size("an n x p", model.n, p)
-    keys = _streams.spawn_keys([seed], (_streams.PATTERN, _streams.VALUES))
-    return _sparse_factors(_streams.keyed_streams(keys), 1, model, p)[0]
+    streams = _streams.spawn_streams([seed], (_streams.PATTERN, _streams.VALUES))
+    return _sparse_factors(streams, 1, model, p)[0]
 
 
 def assemble_instance(n: int, p: int, theta: float, seed: int) -> OmfInstance:

@@ -148,6 +148,7 @@ def test_assemble_one_by_one_dense():
     for n in (True, np.int64(3)):
         assert type(assemble_instance(n, 4, 0.5, 0).n) is int
     assert coverage_experiment(True, 0.5, 4, 5, 0).trials == 5
+    assert coverage_experiment(True, 0.5, 4, 5, 0) == coverage_experiment(1, 0.5, 4, 5, 0)
 
 
 def test_assemble_reconstruction_and_norm():
@@ -358,18 +359,10 @@ def test_coverage_experiment_refuses_as_assemble_instance_does(n, theta, p, mess
     # The same DomainError, with the same text, and before any stream is keyed.
     with pytest.raises(DomainError, match=message) as assembled:
         assemble_instance(n, p, theta, 3)
-    monkeypatch.setattr(_streams, "spawn_keys", _no_draw)
-    monkeypatch.setattr(_streams, "keyed_streams", _no_draw)
+    monkeypatch.setattr(_streams, "spawn_streams", _no_draw)
     with pytest.raises(DomainError, match=message) as experimented:
         coverage_experiment(n, theta, p, 4, 3)
     assert str(experimented.value) == str(assembled.value)
-
-
-def test_coverage_experiment_takes_a_bool_n():
-    # True is the int 1, for the instances and the experiment alike.
-    assert coverage_experiment(True, 0.5, 4, 6, 2) == coverage_experiment(1, 0.5, 4, 6, 2)
-    instance = assemble_instance(True, 4, 0.5, 2)
-    assert (type(instance.n), instance.n, instance.x.shape) == (int, 1, (1, 4))
 
 
 def test_coverage_experiment_dense_always_covered():

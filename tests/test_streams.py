@@ -1,6 +1,6 @@
 """Tests for the batched stream derivation in _streams.
 
-trial_streams, trial_seeds and spawn_keys must reproduce spawn_generator
+trial_streams, trial_seeds and spawn_streams must reproduce spawn_generator
 and the SeedSequence sub-seeds bit for bit: same Philox keys, same
 sub-seeds, same draws.  These compare them against numpy's SeedSequence
 directly and against trial-by-trial rebuilds of the estimators that use
@@ -65,29 +65,30 @@ def test_trial_seeds_match_seed_sequence(seed):
 
 
 def test_spawn_keys_match_seed_sequence():
-    # spawn_keys hashes a vector of seeds, entropy words and all, where
+    # _spawn_keys hashes a vector of seeds, entropy words and all, where
     # _trial_keys starts from one seed's pool; both copy SeedSequence's hash.
     tags = (_streams.ORTHOGONAL, _streams.PATTERN, _streams.VALUES)
     random = np.random.default_rng(2024).integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *random.tolist()]
-    keys = list(_streams.spawn_keys(seeds, tags))
+    keys = list(_streams._spawn_keys(seeds, tags))
     expected = [
         tuple(np.random.SeedSequence(entropy=s, spawn_key=(tag,)).generate_state(2, np.uint64))
         for tag in tags for s in seeds
     ]
     mismatched = [i for i, (key, want) in enumerate(zip(keys, expected)) if key != want]
     assert len(keys) == len(expected) and not mismatched, (
-        f"numpy {np.__version__}: _streams.spawn_keys differs from "
+        f"numpy {np.__version__}: _streams._spawn_keys differs from "
         f"SeedSequence(entropy=s, spawn_key=(tag,)).generate_state(2, np.uint64) at "
         f"{[(tags[i // len(seeds)], seeds[i % len(seeds)]) for i in mismatched[:5]]}"
     )
     assert all(type(word) is int for key in keys[:3] for word in key)
 
 
-def test_keyed_streams_draw_like_fresh_ones():
-    keys = _streams.spawn_keys([5, 2**64 - 1], (_streams.PATTERN, _streams.VALUES))
-    fresh = [(s, tag) for tag in (_streams.PATTERN, _streams.VALUES) for s in (5, 2**64 - 1)]
-    for stream, (seed, tag) in zip(_streams.keyed_streams(keys), fresh, strict=True):
+def test_spawn_streams_draw_like_fresh_ones():
+    tags = (_streams.PATTERN, _streams.VALUES)
+    streams = _streams.spawn_streams([5, 2**64 - 1], tags)
+    fresh = [(s, tag) for tag in tags for s in (5, 2**64 - 1)]
+    for stream, (seed, tag) in zip(streams, fresh, strict=True):
         assert draws(stream) == draws(_streams.spawn_generator(seed, tag))
 
 
