@@ -10,12 +10,13 @@ _streams.  Estimates are pinned by repr, patterns by the sha256 of their
 bytes.
 
 Whole OMF instances are pinned too: the sha256 of assemble_instance's v,
-x and y, and coverage_experiment's estimate, over five shapes from 1 x 1
-to 60 x 3 and 50 x 100, at seeds 0, 7, 2^32 and 2^64 - 1, with 1 and 200
-trials, and 1,025 (past the key block) at the small shapes.
+x and y, and coverage_experiment's estimate, at five (n, p) shapes from
+(1, 1) to (50, 100), seeds 0, 7, 2^32 and 2^64 - 1, and 1 and 200 trials,
+with 1,025 (past the key block) at the three smallest shapes.
 
-The pins were recorded before the pattern draw was rewritten, so a
-rewrite that moves a single indicator shows here.  To re-record, on
+The pins were recorded before the pattern draw was rewritten, and the
+instance pins before instances were built in blocks, so a rewrite that
+moves a single indicator or value shows here.  To re-record, on
 purpose only:
 
     PYTHONPATH=src python tests/test_pattern_pins.py --record
