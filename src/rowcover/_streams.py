@@ -27,9 +27,27 @@ following it is.
 
 A Bernoulli(theta) indicator is Generator.random() < theta at the next
 stream position.  raw_limit turns that into one integer compare of the
-raw Philox word, so patterns are drawn with random_raw and no doubles.
+raw Philox word, so pattern_draw draws patterns with random_raw and no
+doubles.  A cover time's variates are drawn and mapped as numpy's
+geometric sampler does (_geometric_transform).  fill draws each row of a
+stacked buffer from the next stream, and is the one place a row is paired
+with its stream.
 
-Path tags are centralized here so no two consumers can collide.
+This is the only module that knows how numpy draws.  It copies four numpy
+details, each of which numpy's stream policy (NEP 19) lets change between
+releases, and the tests pin on the installed numpy only:
+
+- SeedSequence's hash (numpy/random/bit_generator.pyx), in _trial_keys and
+  _spawn_keys;
+- Philox's state layout (numpy/random/_philox.pyx), in keyed_streams;
+- random()'s double construction, philox_next_double
+  (numpy/random/src/philox/philox.h), in raw_limit;
+- the geometric sampler, random_geometric
+  (numpy/random/src/distributions/distributions.c), in _geometric_transform.
+
+_check_draw_size refuses a draw past numpy's allocation limit before
+numpy is asked for it.  Path tags are centralized here so no two
+consumers can collide.
 """
 
 from __future__ import annotations
@@ -70,6 +88,17 @@ _XSHIFT = np.array(16, np.uint64)
 # in the trial count.
 _BLOCK = 1024
 
+# numpy's geometric sampler clips a draw at or past 2^63 to the int64 maximum.
+_CLIP_AT = 2.0**63
+
+# numpy's geometric sampler inverts an exponential below this theta (its
+# constant 0.333333333333333333333333 is this double) and searches a running
+# sum for a uniform from it on.
+_SEARCH_THETA = 1 / 3
+
+# numpy refuses, with a bare ValueError, an array of more bytes than this.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 
 def checked_seed(seed: object) -> int:
     """Validate and normalize a user-facing seed to an unsigned 64-bit int."""
@@ -98,6 +127,92 @@ def raw_limit(theta: float) -> np.uint64:
     and the smallest subnormal 2047.
     """
     return np.uint64((math.ceil(math.ldexp(theta, 53)) << 11) - 1)
+
+
+def pattern_draw(theta: float):
+    """The draw of Bernoulli(theta) indicators: draw(stream, out) fills and returns out.
+
+    out is a bool array, set to stream.random(out.shape) < theta as that
+    many raw words at most raw_limit(theta), from the same stream positions.
+    """
+    limit = raw_limit(theta)
+
+    def draw(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return np.less_equal(stream.bit_generator.random_raw(out.shape), limit, out=out)
+
+    return draw
+
+
+def fill(out: np.ndarray, streams: Iterable[np.random.Generator], draw) -> np.ndarray:
+    """out with each row drawn by draw(stream, out=row) from the next of streams.
+
+    zip takes a row before a stream, so the stream after the last row is
+    left for the caller's next draw: consecutive fills from one iterator
+    draw consecutive streams.  A draw is a Generator method with an out
+    argument (standard_normal, or a geometric variate), or pattern_draw's.
+    """
+    for row, stream in zip(out, streams):
+        draw(stream, out=row)
+    return out
+
+
+def _geometric_transform(theta: float):
+    """numpy's geometric(theta) sampler as a variate and a map of its largest.
+
+    Generator.geometric draws one variate per value.  Below theta = 1/3 it is
+    a standard exponential E, mapped to ceil(-E / log1p(-theta)) and clipped
+    at the int64 maximum.  From 1/3 on it is a uniform U, mapped to the
+    smallest X with U <= S_X, where S_1 = theta and S_X adds theta(1-theta)^(X-1)
+    to S_(X-1) in numpy's own float recurrence.  Both maps are non-decreasing,
+    so the largest of n draws is the map of the largest of their variates.
+
+    Returns the Generator method that draws the variates and the map, which
+    takes an array of largest variates and returns int64 cover times.  It
+    raises DomainError where numpy would clip a draw, and where numpy would
+    not return at all: for about a fifth of theta in [1/3, 1), S_X stops
+    growing below the largest uniform numpy can draw, 1 - 2^-53, and numpy's
+    search for a U above it never ends.
+    """
+    if theta < _SEARCH_THETA:
+        scale = math.log1p(-theta)
+
+        def inverted(tops: np.ndarray) -> np.ndarray:
+            draws = np.ceil(-tops / scale)
+            if draws.max() >= _CLIP_AT:
+                raise DomainError(f"theta = {theta!r} clips a geometric draw at the int64 maximum")
+            return draws.astype(np.int64)
+
+        return np.random.Generator.standard_exponential, inverted
+    # numpy's S_X, extended only as far as the largest uniform yet mapped.
+    q = 1.0 - theta
+    sums, term = [theta], theta
+
+    def searched(tops: np.ndarray) -> np.ndarray:
+        nonlocal term
+        top = float(tops.max())
+        while sums[-1] < top:
+            total = sums[-1] + term * q
+            if total == sums[-1]:  # the terms only shrink: numpy's loop never ends
+                raise DomainError(
+                    f"theta = {theta!r} with a uniform draw of {top!r} hangs numpy's "
+                    f"geometric sampler: its running sum stops at {total!r}"
+                )
+            term *= q
+            sums.append(total)
+        return np.searchsorted(sums, tops) + 1
+
+    return np.random.Generator.random, searched
+
+
+def _check_draw_size(names: str, *shape: int) -> None:
+    # One draw of 8-byte values (float64, int64 or uint64) of this shape,
+    # refused before numpy is asked for an array it cannot allocate.
+    size = math.prod(shape) * 8
+    if size > _MAX_ARRAY_BYTES:
+        raise DomainError(
+            f"{names} = {' x '.join(map(str, shape))} draw needs {size} bytes, "
+            f"more than numpy can allocate ({_MAX_ARRAY_BYTES})"
+        )
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:

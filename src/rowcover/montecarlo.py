@@ -18,22 +18,18 @@ the next trial's.
 
 A cover time is the largest of n geometric(theta) draws.  It is computed
 from the variates numpy's Generator.geometric would draw from the same
-stream positions, standard exponentials below theta = 1/3 and uniforms
-from it on, by mapping only each trial's largest variate through numpy's
-transform, which is non-decreasing (see _geometric_transform).  Trials are
-reduced one numpy max per block of at most 2^13 variates, a trial past 2^13
-rows chunk by chunk, so a call holds at most one block.  The identity rests
-on numpy's sampler, which numpy's stream policy lets change between
-releases: the tests pin it on the installed numpy only, while the package
-accepts any numpy from 1.24 on, and nothing checks it at run time yet.
+stream positions, by mapping only each trial's largest variate through
+numpy's non-decreasing transform (_streams._geometric_transform).  Trials
+are reduced one numpy max per block of at most 2^13 variates, a trial past
+2^13 rows chunk by chunk, so a call holds at most one block.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
-omf module.  An indicator is Generator.random() < theta, and is drawn as
-one raw Philox word compared with the integer _streams.raw_limit(theta),
-which gives the same indicator from the same stream position without
-making a double.  That identity rests on numpy's double construction,
-pinned by the tests on the installed numpy only, like the sampler above.
+omf module.  An indicator is Generator.random() < theta, drawn by
+_streams.pattern_draw from the same stream position without making a
+double.  Both draws rest on numpy details that _streams copies and lists,
+pinned by the tests on the installed numpy only, while the package accepts
+any numpy from 1.24 on, and nothing checks them at run time yet.
 """
 
 from __future__ import annotations
@@ -63,19 +59,8 @@ __all__ = [
 # bit-reproducible without a scipy dependency.
 Z95 = 1.959963984540054
 
-# numpy's geometric sampler clips a draw at or past 2^63 to the int64 maximum.
-_CLIP_AT = 2.0**63
-
-# numpy's geometric sampler inverts an exponential below this theta (its
-# constant 0.333333333333333333333333 is this double) and searches a running
-# sum for a uniform from it on.
-_SEARCH_THETA = 1 / 3
-
 # Most variates in one cover-time block, and in one chunk of a larger n.
 _COVER_BLOCK_CELLS = 2**13
-
-# numpy refuses, with a bare ValueError, an array of more bytes than this.
-_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 # Most points phase_sweep may take, each one a full estimate; a wider range
 # is refused rather than left running for hours.
@@ -149,7 +134,7 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     sampler would never return, and an n past the largest draw numpy can
     allocate.
     """
-    _check_draw_size("an n", _checked_model(model).n)
+    _streams._check_draw_size("an n", _checked_model(model).n)
     # numpy loads np.random lazily; importing Generator by name would cost
     # callers that never sample about 2 MB and 10 ms.
     if not isinstance(stream, np.random.Generator):
@@ -159,86 +144,27 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
 
 def _cover_times(model: SparsityModel, streams, count: int) -> np.ndarray:
     # The cover times of the next `count` streams, in order.  Each trial fills
-    # one row of the block with its n variates, past 2^13 rows one chunk at a
-    # time under an elementwise running max in that row; one max per block then
-    # gives every trial's largest variate, and the map makes it a cover time.
-    draw, cover_times = _geometric_transform(model.theta)
+    # one row of the block with its n variates; one max per block then gives
+    # every trial's largest variate, and the map makes it a cover time.
+    draw, cover_times = _streams._geometric_transform(model.theta)
     n = model.n
     width = min(n, _COVER_BLOCK_CELLS)
+    if n > width:  # one trial a block: the rest of its row a chunk at a time, under a running max
+        chunk, draw_chunk = np.empty(width), draw
+
+        def draw(stream: np.random.Generator, out: np.ndarray) -> None:
+            draw_chunk(stream, out=out)
+            for done in range(width, n, width):
+                head, part = out[:n - done], chunk[:n - done]
+                draw_chunk(stream, out=part)
+                np.maximum(head, part, out=head)
+
     block = np.empty((max(1, min(_streams._BLOCK, _COVER_BLOCK_CELLS // n, count)), width))
-    tails = []
-    if n > width:  # one trial a block: its later chunks, each with its head of the row
-        chunk = np.empty(width)
-        tails = [(chunk[:n - done], block[0, :n - done]) for done in range(width, n, width)]
     values = np.empty(count, dtype=np.int64)
     for start in range(0, count, len(block)):
-        used = block[:count - start]
-        for row, stream in zip(used, streams):
-            draw(stream, out=row)
-            for part, head in tails:
-                draw(stream, out=part)
-                np.maximum(head, part, out=head)
+        used = _streams.fill(block[:count - start], streams, draw)
         values[start:start + len(used)] = cover_times(used.max(axis=1))
     return values
-
-
-def _geometric_transform(theta: float):
-    """numpy's geometric(theta) sampler as a variate and a map of its largest.
-
-    Generator.geometric draws one variate per value.  Below theta = 1/3 it is
-    a standard exponential E, mapped to ceil(-E / log1p(-theta)) and clipped
-    at the int64 maximum.  From 1/3 on it is a uniform U, mapped to the
-    smallest X with U <= S_X, where S_1 = theta and S_X adds theta(1-theta)^(X-1)
-    to S_(X-1) in numpy's own float recurrence.  Both maps are non-decreasing,
-    so the largest of n draws is the map of the largest of their variates.
-
-    Returns the Generator method that draws the variates and the map, which
-    takes an array of largest variates and returns int64 cover times.  It
-    raises DomainError where numpy would clip a draw, and where numpy would
-    not return at all: for about a fifth of theta in [1/3, 1), S_X stops
-    growing below the largest uniform numpy can draw, 1 - 2^-53, and numpy's
-    search for a U above it never ends.
-    """
-    if theta < _SEARCH_THETA:
-        scale = math.log1p(-theta)
-
-        def inverted(tops: np.ndarray) -> np.ndarray:
-            draws = np.ceil(-tops / scale)
-            if draws.max() >= _CLIP_AT:
-                raise DomainError(f"theta = {theta!r} clips a geometric draw at the int64 maximum")
-            return draws.astype(np.int64)
-
-        return np.random.Generator.standard_exponential, inverted
-    # numpy's S_X, extended only as far as the largest uniform yet mapped.
-    q = 1.0 - theta
-    sums, term = [theta], theta
-
-    def searched(tops: np.ndarray) -> np.ndarray:
-        nonlocal term
-        top = float(tops.max())
-        while sums[-1] < top:
-            total = sums[-1] + term * q
-            if total == sums[-1]:  # the terms only shrink: numpy's loop never ends
-                raise DomainError(
-                    f"theta = {theta!r} with a uniform draw of {top!r} hangs numpy's "
-                    f"geometric sampler: its running sum stops at {total!r}"
-                )
-            term *= q
-            sums.append(total)
-        return np.searchsorted(sums, tops) + 1
-
-    return np.random.Generator.random, searched
-
-
-def _check_draw_size(names: str, *shape: int) -> None:
-    # One draw of 8-byte values (float64, int64 or uint64) of this shape,
-    # refused before numpy is asked for an array it cannot allocate.
-    size = math.prod(shape) * 8
-    if size > _MAX_ARRAY_BYTES:
-        raise DomainError(
-            f"{names} = {' x '.join(map(str, shape))} draw needs {size} bytes, "
-            f"more than numpy can allocate ({_MAX_ARRAY_BYTES})"
-        )
 
 
 def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndarray:
@@ -247,16 +173,15 @@ def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndar
     This is the package-wide pattern law: the omf module's sparse matrices
     place their nonzeros at exactly these positions for the same inputs.
     It equals spawn_generator(seed, PATTERN).random((n, p)) < theta, drawn
-    as n x p raw words compared with _streams.raw_limit(theta).  An n x p
-    draw past the largest array numpy can allocate raises DomainError.
+    by _streams.pattern_draw.  An n x p draw past the largest array numpy
+    can allocate raises DomainError.
     """
     _checked_model(model)
     p = checked_int(p, "p", 0)
-    _check_draw_size("an n x p", model.n, p)
+    _streams._check_draw_size("an n x p", model.n, p)
     seed = _streams.checked_seed(seed)
     stream = _streams.spawn_generator(seed, _streams.PATTERN)
-    limit = _streams.raw_limit(model.theta)
-    return stream.bit_generator.random_raw(model.n * p).reshape(model.n, p) <= limit
+    return _streams.pattern_draw(model.theta)(stream, out=np.empty((model.n, p), dtype=bool))
 
 
 def _proportion_estimate(outcomes, trials: int, seed: int) -> MonteCarloEstimate:
@@ -295,7 +220,7 @@ def estimate_expected_cover_time(
     _checked_model(model)
     trials = checked_int(trials, "trials", 2)  # two, for a confidence interval
     seed = _streams.checked_seed(seed)
-    _check_draw_size("an n", model.n)
+    _streams._check_draw_size("an n", model.n)
     streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
     values = _cover_times(model, streams, trials)
     mean = float(values.mean())
@@ -317,13 +242,10 @@ def estimate_coverage_probability(
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
     n = model.n
-    _check_draw_size("an n x p", n, p)
-    limit = _streams.raw_limit(model.theta)
+    _streams._check_draw_size("an n x p", n, p)
+    draw, pattern = _streams.pattern_draw(model.theta), np.empty((n, p), dtype=bool)
     streams = _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials)
-    outcomes = (
-        (s.bit_generator.random_raw(n * p).reshape(n, p) <= limit).any(axis=1).all()
-        for s in streams
-    )
+    outcomes = (draw(s, out=pattern).any(axis=1).all() for s in streams)
     return _proportion_estimate(outcomes, trials, seed)
 
 

@@ -14,19 +14,20 @@ montecarlo.sample_indicator_pattern.  No factorization is attempted here;
 only the necessary condition and the orthogonality identities are
 checked.
 
-Instances are built a block at a time.  The Philox keys of a block's
-streams (seed, ORTHOGONAL), (seed, PATTERN) and (seed, VALUES) come from
-one numpy pass in _streams.spawn_streams, which re-keys one generator to
-each in turn.  Each instance's Gaussians, raw pattern words and values
-are drawn into stacked buffers of at most 2^15 doubles a block; one
-stacked QR with its sign fix gives the block's V, one np.where its X and
-one stacked matmul its Y.  A single instance is a block of one, so
+Instances are built a block at a time.  A block's streams (seed,
+ORTHOGONAL), (seed, PATTERN) and (seed, VALUES) come from one
+_streams.spawn_streams call, and _streams.fill draws each instance's
+Gaussians, pattern and values into stacked buffers of at most 2^15
+doubles a block; how numpy draws them is _streams' concern.  One stacked
+QR with its sign fix gives the block's V, one np.where its X and one
+stacked matmul its Y.  A single instance is a block of one, so
 assemble_instance, random_orthogonal and sample_sparse_matrix return the
 factors coverage_experiment checks, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ import numpy as np
 from . import _streams
 from .coverage import SparsityModel, _checked_model
 from .errors import DomainError, checked_int
-from .montecarlo import MonteCarloEstimate, _check_draw_size, _proportion_estimate
+from .montecarlo import MonteCarloEstimate, _proportion_estimate
 
 __all__ = [
     "OmfInstance",
@@ -71,8 +72,8 @@ class OmfInstance:
     theta lies in (0, 1] and that seed is an unsigned 64-bit integer, as
     read_instance checks a header, and that v, x and y are real numeric
     ndarrays of their shapes.  It validates the defining algebra, refusing
-    a NaN or infinite defect, and keeps three defects as attributes, in
-    the Frobenius norm:
+    a NaN or infinite defect and an infinite ||X|| or ||Y||, and keeps
+    three defects as attributes, in the Frobenius norm:
     orthogonality_error is max |V^T V - I|, at most 1e-10;
     reconstruction_error is ||V^T Y - X|| / max(1, ||X||), at most 1e-8; and
     norm_preservation_error is | ||Y|| - ||X|| | / max(1, ||X||), which
@@ -107,14 +108,17 @@ class OmfInstance:
         # the products; the checks below report them instead.
         with np.errstate(invalid="ignore", over="ignore"):
             gram_defect = float(np.abs(self.v.T @ self.v - np.eye(self.n)).max())
-            x_norm = float(np.linalg.norm(self.x))
+            x_norm, y_norm = float(np.linalg.norm(self.x)), float(np.linalg.norm(self.y))
             scale = max(1.0, x_norm)
             residual = float(np.linalg.norm(self.v.T @ self.y - self.x)) / scale
-            norm_gap = abs(float(np.linalg.norm(self.y)) - x_norm) / scale
+            norm_gap = abs(y_norm - x_norm) / scale
         if not gram_defect <= _ORTHOGONALITY_TOL:
             raise DomainError(f"v is not orthogonal: max Gram defect {gram_defect:.3e}")
         if not residual <= _RECONSTRUCTION_RTOL:
             raise DomainError(f"y does not equal v @ x: relative residual {residual:.3e}")
+        # An overflowing ||x|| would scale any residual down to 0.
+        if not (math.isfinite(x_norm) and math.isfinite(y_norm)):
+            raise DomainError(f"x and y must have finite norms, got {x_norm} and {y_norm}")
         object.__setattr__(self, "orthogonality_error", gram_defect)
         object.__setattr__(self, "reconstruction_error", residual)
         object.__setattr__(self, "norm_preservation_error", norm_gap)
@@ -146,11 +150,7 @@ def _orthogonal_factors(streams: Iterator[np.random.Generator], count: int, n: i
     classical compact groups", Notices AMS 54, 2007).
     """
     gaussians = np.empty((count, n, n))
-    # zip takes a row before a stream, so the stream after the last row is
-    # left for the caller's next draw.
-    for gaussian, stream in zip(gaussians, streams):
-        stream.standard_normal(out=gaussian)
-    q, r = np.linalg.qr(gaussians)
+    q, r = np.linalg.qr(_streams.fill(gaussians, streams, np.random.Generator.standard_normal))
     signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
     return q * signs[:, np.newaxis, :]
 
@@ -161,18 +161,13 @@ def _sparse_factors(
     """The sparse factors of count pattern streams, then count value streams, stacked.
 
     A pattern stream draws the n x p indicators of sample_indicator_pattern
-    (raw words at most raw_limit(theta)), and a value stream n x p
-    standard normals; an entry is its value where its indicator is set.
+    (_streams.pattern_draw), and a value stream n x p standard normals; an
+    entry is its value where its indicator is set.
     """
-    n = model.n
-    limit = _streams.raw_limit(model.theta)
-    pattern = np.empty((count, n * p), dtype=bool)
-    for indicators, stream in zip(pattern, streams):
-        np.less_equal(stream.bit_generator.random_raw(n * p), limit, out=indicators)
-    values = np.empty((count, n, p))
-    for value, stream in zip(values, streams):
-        stream.standard_normal(out=value)
-    return np.where(pattern.reshape(count, n, p), values, 0.0)
+    pattern, values = np.empty((count, model.n, p), dtype=bool), np.empty((count, model.n, p))
+    _streams.fill(pattern, streams, _streams.pattern_draw(model.theta))
+    _streams.fill(values, streams, np.random.Generator.standard_normal)
+    return np.where(pattern, values, 0.0)
 
 
 def _instance_blocks(
@@ -201,7 +196,7 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     """
     n = checked_int(n, "n", 1)
     seed = _streams.checked_seed(seed)
-    _check_draw_size("an n x n", n, n)
+    _streams._check_draw_size("an n x n", n, n)
     streams = _streams.spawn_streams([seed], (_streams.ORTHOGONAL,))
     return _orthogonal_factors(streams, 1, n)[0]
 
@@ -219,7 +214,7 @@ def sample_sparse_matrix(model: SparsityModel, p: int, seed: int) -> np.ndarray:
     _checked_model(model)
     p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
-    _check_draw_size("an n x p", model.n, p)
+    _streams._check_draw_size("an n x p", model.n, p)
     streams = _streams.spawn_streams([seed], (_streams.PATTERN, _streams.VALUES))
     return _sparse_factors(streams, 1, model, p)[0]
 
@@ -234,8 +229,8 @@ def assemble_instance(n: int, p: int, theta: float, seed: int) -> OmfInstance:
     model = SparsityModel(n, theta)
     p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
-    _check_draw_size("an n x n", model.n, model.n)
-    _check_draw_size("an n x p", model.n, p)
+    _streams._check_draw_size("an n x n", model.n, model.n)
+    _streams._check_draw_size("an n x p", model.n, p)
     _, v, x, y = next(_instance_blocks(model, p, [seed]))
     return OmfInstance(n=model.n, p=p, theta=model.theta, v=v[0], x=x[0], y=y[0], seed=seed)
 
@@ -278,8 +273,8 @@ def coverage_experiment(
     seed = _streams.checked_seed(seed)
     model = SparsityModel(n, theta)
     p = checked_int(p, "p", 1)
-    _check_draw_size("an n x n", model.n, model.n)
-    _check_draw_size("an n x p", model.n, p)
+    _streams._check_draw_size("an n x n", model.n, model.n)
+    _streams._check_draw_size("an n x p", model.n, p)
     sub_seeds = _streams.trial_seeds(seed, _streams.INSTANCE, 0, trials)
 
     def outcomes() -> Iterator[bool]:

@@ -157,15 +157,18 @@ def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, see
 
 def test_cover_time_memory_is_flat_in_n():
     # A million rows are 8 MB of variates a trial, drawn 2^13 at a time.  The
-    # first call, untraced, loads numpy.random, about 1 MB of its own.
+    # first call, untraced, loads numpy.random, about 1 MB of its own.  At
+    # n = 2^30, 2^17 chunks, nothing may be set up per chunk before a draw.
     estimate_expected_cover_time(SparsityModel(3, 0.5), 2, 0)
-    tracemalloc.start()
-    try:
-        estimate_expected_cover_time(SparsityModel(10**6, 0.5), 2, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for call in (lambda: estimate_expected_cover_time(SparsityModel(10**6, 0.5), 2, 0),
+                 lambda: montecarlo._cover_times(SparsityModel(2**30, 0.5), iter(()), 0)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_distinct_seeds_give_distinct_samples():
@@ -230,7 +233,7 @@ def _sampler_changed(what: str) -> str:
     # A failure here means numpy changed its sampler, not that the package did.
     return (
         f"numpy {np.__version__} geometric sampler: {what} no longer matches "
-        "Generator.geometric(theta, n).max(); montecarlo._geometric_transform "
+        "Generator.geometric(theta, n).max(); _streams._geometric_transform "
         "reproduces the variate and the map of numpy 2.4.6"
     )
 
@@ -280,11 +283,11 @@ def test_search_refuses_a_uniform_numpy_would_never_reach():
     # after 40 terms, so its search for the uniform 1 - 2^-53 never ends; at
     # theta = 0.5 the sum reaches 1 and that uniform is a draw of 53.
     largest = np.array([1.0 - 2.0**-53])
-    _, cover_times = montecarlo._geometric_transform(0.6032894249669429)
+    _, cover_times = _streams._geometric_transform(0.6032894249669429)
     assert cover_times(np.array([1.0 - 2.0**-52])).tolist() == [40]
     with pytest.raises(DomainError, match="hangs numpy's geometric sampler"):
         cover_times(largest)
-    _, cover_times = montecarlo._geometric_transform(0.5)
+    _, cover_times = _streams._geometric_transform(0.5)
     assert cover_times(largest).tolist() == [53]
 
 
@@ -295,7 +298,7 @@ def test_search_refuses_a_uniform_numpy_would_never_reach():
               1.0 - 2.0**-40, 1.0],
 )
 def test_search_matches_numpys_loop(theta):
-    _, cover_times = montecarlo._geometric_transform(theta)
+    _, cover_times = _streams._geometric_transform(theta)
     uniforms = [0.0, theta, 0.5, 0.99, 1.0 - 2.0**-40, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
     uniforms += np.random.default_rng(3).random(20).tolist()
     for uniform in uniforms:

@@ -219,6 +219,13 @@ def test_instance_validation_rejects_nan_and_inf_factors():
             with pytest.raises(DomainError, match="not orthogonal|does not equal"):
                 OmfInstance(n=3, p=2, theta=0.5, seed=1, **{**factors, **case})
         assert [str(w.message) for w in caught] == [], sorted(case)
+    # ||x|| = inf would scale y's error of 4 down to a residual of 0.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match="x and y must have finite norms, got inf and inf"):
+            OmfInstance(n=1, p=2, theta=0.5, v=np.eye(1), x=np.array([[1e200, 1.0]]),
+                        y=np.array([[1e200, 5.0]]), seed=1)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("name", ["v", "x", "y"])
@@ -239,11 +246,14 @@ def test_read_instance_refuses_nan_and_inf_factors(tmp_path):
     nan_v = [header, "nan nan", *rows[1:]]
     inf_xy = [header, *rows[:2], "inf " + rows[2].split(" ", 1)[1], *rows[3:4],
               "inf " + rows[4].split(" ", 1)[1], *rows[5:]]
-    for lines in (nan_v, inf_xy):
+    overflowing = ["1 2 0.5 9", "1.0", "1e+200 1.0", "1e+200 5.0"]
+    refused = "not orthogonal|does not equal"
+    for lines, message in ((nan_v, refused), (inf_xy, refused),
+                           (overflowing, "x and y must have finite norms")):
         bad.write_text("\n".join(lines) + "\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(DomainError, match="not orthogonal|does not equal"):
+            with pytest.raises(DomainError, match=message):
                 read_instance(bad)
         assert [str(w.message) for w in caught] == []
 

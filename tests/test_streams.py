@@ -9,7 +9,9 @@ them.
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +117,39 @@ def test_rekeyed_stream_draws_like_a_fresh_one(seed):
     tag = _streams.COVER_TRIAL
     for t, stream in enumerate(_streams.trial_streams(seed, tag, 6)):
         assert draws(stream) == draws(_streams.spawn_generator(seed, tag, t))
+
+
+def test_fill_leaves_the_stream_after_its_last_row():
+    # zip takes a row before a stream: two rows take two streams, and the
+    # third is left at its start for the caller's next draw.
+    seed, tag = 9, _streams.VALUES
+    streams = _streams.trial_streams(seed, tag, 3)
+    rows = _streams.fill(np.empty((2, 4)), streams, np.random.Generator.standard_normal)
+    fresh = [_streams.spawn_generator(seed, tag, t) for t in range(3)]
+    assert rows.tolist() == [stream.standard_normal(4).tolist() for stream in fresh[:2]]
+    assert draws(next(streams)) == draws(fresh[2])
+
+
+# How numpy draws is _streams' concern alone: these are the names of its
+# copies of numpy's hash, Philox state, double and sampler details.
+_NUMPY_STREAM_DETAILS = {
+    "bit_generator", "random_raw", "raw_limit", "SeedSequence", "Philox", "standard_exponential",
+}
+
+
+def test_numpy_stream_details_stay_in_streams():
+    modules = sorted(Path(_streams.__file__).parent.glob("*.py"))
+    assert {"montecarlo.py", "omf.py"} <= {path.name for path in modules}
+    named = []
+    for path in modules:
+        if path.name == "_streams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name in _NUMPY_STREAM_DETAILS:
+                    named.append(f"{path.name}:{node.lineno} {name}")
+    assert named == []
 
 
 def test_coverage_probability_matches_a_reverse_rebuild():
