@@ -4,7 +4,8 @@ trial_streams, trial_seeds and spawn_streams must reproduce spawn_generator
 and the SeedSequence sub-seeds bit for bit: same Philox keys, same
 sub-seeds, same draws.  These compare them against numpy's SeedSequence
 directly and against trial-by-trial rebuilds of the estimators that use
-them.
+them.  fill must leave the stream after its last row untouched, and no
+other module may reach into how numpy draws.
 """
 
 from __future__ import annotations
