@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from rowcover import (
     sample_sparse_matrix,
     write_instance,
 )
-from rowcover import _streams
+from rowcover import _streams, omf
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -228,6 +229,25 @@ def test_instance_validation_rejects_nan_and_inf_factors():
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize(
+    "v, message",
+    [(np.array([[1, 0], [0, 255]], np.uint8), "max Gram defect 6.502e+04"),
+     (np.array([[1, 0], [0, 127]], np.int8), "max Gram defect 1.613e+04")],
+)
+def test_instance_validation_refuses_integer_factors_whose_gram_wraps(v, message, tmp_path):
+    # 255^2 is 1 mod 2^8, so a Gram matrix taken in uint8 (or int8, for
+    # 127^2) reads as the identity.  The check is made in float64, so the
+    # instance is refused as read_instance refuses its file.
+    x = np.array([[1.0], [0.0]])
+    with pytest.raises(DomainError, match=re.escape(f"v is not orthogonal: {message}") + "$"):
+        OmfInstance(n=2, p=1, theta=0.5, v=v, x=x, y=v @ x, seed=0)
+    path = tmp_path / "instance.txt"
+    path.write_text("2 1 0.5 0\n" + "\n".join(
+        " ".join(repr(float(value)) for value in row) for row in (*v, *x, *(v @ x))) + "\n")
+    with pytest.raises(DomainError, match=re.escape(f"v is not orthogonal: {message}") + "$"):
+        read_instance(path)
+
+
 @pytest.mark.parametrize("name", ["v", "x", "y"])
 def test_instance_validation_rejects_factors_that_are_not_real_arrays(name):
     good = assemble_instance(3, 2, 0.5, 1)
@@ -298,6 +318,24 @@ def test_hand_built_instance_survives_its_dump(tmp_path):
     assert (type(loaded.theta), type(instance.theta), type(instance.seed)) == (float, float, int)
     for name in ("v", "x", "y"):
         assert np.array_equal(getattr(loaded, name), getattr(instance, name))
+
+
+def test_instance_dump_text_is_pinned(tmp_path):
+    # Every entry is printed as the repr of its float64 value, so a bool or
+    # int factor prints 1.0, and a float its shortest round-trip digits.
+    v = np.array([[0.6, -0.8], [0.8, 0.6]])
+    x = np.array([[True, False, True], [False, False, True]])
+    path = tmp_path / "instance.txt"
+    write_instance(OmfInstance(n=2, p=3, theta=0.25, v=v, x=x, y=v @ x, seed=5), path)
+    assert path.read_text() == (
+        "2 3 0.25 5\n0.6 -0.8\n0.8 0.6\n1.0 0.0 1.0\n0.0 0.0 1.0\n"
+        "0.6 0.0 -0.20000000000000007\n0.8 0.0 1.4\n"
+    )
+    rotation = np.array([[0, -1], [1, 0]])
+    write_instance(OmfInstance(n=2, p=1, theta=0.5, v=rotation, x=x[:, :1],
+                               y=rotation @ x[:, :1], seed=0), path)
+    assert path.read_text() == "2 1 0.5 0\n0.0 -1.0\n1.0 0.0\n1.0\n0.0\n0.0\n1.0\n"
+    assert read_instance(path).x.dtype == np.float64
 
 
 # ---------------------------------------------------------- coverage check
@@ -373,6 +411,66 @@ def test_coverage_experiment_refuses_as_assemble_instance_does(n, theta, p, mess
     with pytest.raises(DomainError, match=message) as experimented:
         coverage_experiment(n, theta, p, 4, 3)
     assert str(experimented.value) == str(assembled.value)
+
+
+def _corrupted_blocks(monkeypatch, corrupt):
+    # coverage_experiment's instance blocks, with corrupt(v, x, y) applied to the first.
+    build = omf._instance_blocks
+    faults = []
+
+    def blocks(*args):
+        for index, (block, v, x, y) in enumerate(build(*args)):
+            if index == 0:
+                corrupt(v, x, y)
+                faults.append((block, v.copy(), x.copy(), y.copy()))
+            yield block, v, x, y
+
+    monkeypatch.setattr(omf, "_instance_blocks", blocks)
+    return faults
+
+
+def _scale_v(t):
+    def corrupt(v, x, y):
+        v[t] *= 1.0 + 1e-6
+    return corrupt
+
+
+def _nan_y(t):
+    def corrupt(v, x, y):
+        y[t, 1, 2] = math.nan
+    return corrupt
+
+
+def _both(first, second):
+    def corrupt(v, x, y):
+        first(v, x, y)
+        second(v, x, y)
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, failing",
+    [(_scale_v(9), 9), (_nan_y(9), 9), (_both(_nan_y(9), _scale_v(15)), 9)],
+)
+def test_coverage_experiment_refuses_a_bad_instance_as_omf_instance_does(
+    corrupt, failing, monkeypatch
+):
+    # Instance `failing` of a 20-instance block is refused with the message
+    # OmfInstance gives for it (with a later bad instance, the first one's),
+    # and no numpy warning comes first.
+    faults = _corrupted_blocks(monkeypatch, corrupt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError) as experimented:
+            coverage_experiment(3, 0.5, 6, 20, 11)
+    assert [str(w.message) for w in caught] == []
+    (block, v, x, y), = faults
+    assert len(block) == 20
+    with pytest.raises(DomainError) as built:
+        OmfInstance(n=3, p=6, theta=0.5, v=v[failing], x=x[failing], y=y[failing],
+                    seed=block[failing])
+    assert str(experimented.value) == str(built.value)
+    assert str(built.value).startswith(("v is not orthogonal", "y does not equal"))
 
 
 def test_coverage_experiment_dense_always_covered():

@@ -12,10 +12,14 @@ bytes.
 Whole OMF instances are pinned too: the sha256 of assemble_instance's v,
 x and y, and coverage_experiment's estimate, at five (n, p) shapes from
 (1, 1) to (50, 100), seeds 0, 7, 2^32 and 2^64 - 1, and 1 and 200 trials,
-with 1,025 (past the key block) at the three smallest shapes.
+with 1,025 (past the key block) at the three smallest shapes.  So are
+estimates and experiments at the edges of their trial blocks: one trial
+short of a full block, a full block and one trial past it, a trial larger
+than a block's budget, and a last block only partly filled.
 
-The pins were recorded before the pattern draw was rewritten, and the
-instance pins before instances were built in blocks, so a rewrite that
+The pins were recorded before the pattern draw was rewritten, the
+instance pins before instances were built in blocks, and the block-edge
+pins before coverage trials were reduced a block at a time, so a rewrite that
 moves a single indicator or value shows here.  To re-record, on
 purpose only:
 
@@ -46,6 +50,16 @@ THETAS = (
     1.0, 1 / 3, math.nextafter(1 / 3, 0.0), math.nextafter(1 / 3, 1.0), 0.5,
     2.0**-53, 2.0**-54, 5e-324, 0.05,
 )
+# n, p, trials, theta at the edges of a coverage-trial block: at most 1,024
+# trials and 2^16 indicators.  (10, 13) holds 504 trials a block and (3, 4)
+# 1,024; (300, 300) is past the budget, a trial a block; p = 0 draws nothing.
+BLOCK_EDGES = (
+    (10, 13, 503, 0.3), (10, 13, 504, 0.3), (10, 13, 505, 0.3),
+    (3, 4, 1023, 0.5), (3, 4, 1024, 0.5), (300, 300, 3, 0.02), (2, 0, 1025, 0.5),
+)
+# n, p, trials, theta whose last instance block is partly filled: (50, 40)
+# holds 7 instances a block and (20, 30) 32.
+INSTANCE_BLOCK_EDGES = ((50, 40, 11, 0.1), (20, 30, 33, 0.1))
 INSTANCE_SEEDS = (0, 7, 2**32, 2**64 - 1)
 # n, p, theta
 INSTANCE_SHAPES = ((1, 1, 1.0), (3, 6, 0.5), (4, 7, 0.4), (50, 100, 0.1), (60, 3, 0.05))
@@ -75,6 +89,14 @@ def cases():
                        lambda n=n, p=p, s=seed, th=theta: _pattern_digest(n, p, th, s))
             yield ("coverage_experiment", f"4 6 20 {seed} {theta!r}",
                    lambda s=seed, th=theta: repr(coverage_experiment(4, th, 6, 20, s)))
+        for n, p, trials, theta in BLOCK_EDGES:
+            yield ("estimate_coverage_probability", f"{n} {p} {trials} {seed} {theta!r}",
+                   lambda n=n, p=p, t=trials, s=seed, th=theta: repr(
+                       estimate_coverage_probability(SparsityModel(n, th), p, t, s)))
+        for n, p, trials, theta in INSTANCE_BLOCK_EDGES:
+            yield ("coverage_experiment", f"{n} {p} {trials} {seed} {theta!r}",
+                   lambda n=n, p=p, th=theta, t=trials, s=seed: repr(
+                       coverage_experiment(n, th, p, t, s)))
         yield ("estimate_coverage_probability", f"100 134 300 {seed} 0.05",
                lambda s=seed: repr(estimate_coverage_probability(SparsityModel(100, 0.05),
                                                                  134, 300, s)))
