@@ -21,7 +21,10 @@ from the variates numpy's Generator.geometric would draw from the same
 stream positions, by mapping only each trial's largest variate through
 numpy's non-decreasing transform (_streams._geometric_transform).  Trials
 are reduced one numpy max per block of at most 2^13 variates, a trial past
-2^13 rows chunk by chunk, so a call holds at most one block.
+2^13 rows chunk by chunk, so a call holds at most one block.  Coverage
+trials are drawn the same way, into a stacked block of at most 2^16
+indicators, and counted one reduction per block (_covered, which counts
+the OMF experiment's instances too).
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
@@ -59,8 +62,11 @@ __all__ = [
 # bit-reproducible without a scipy dependency.
 Z95 = 1.959963984540054
 
-# Most variates in one cover-time block, and in one chunk of a larger n.
-_COVER_BLOCK_CELLS = 2**13
+# Most bytes in one block of trials: 2^13 cover-time variates, or 2^16
+# coverage indicators.  A cover time past 2^13 variates is drawn in chunks
+# of that size.
+_BLOCK_BYTES = 2**16
+_COVER_BLOCK_CELLS = _BLOCK_BYTES // 8
 
 # Most points phase_sweep may take, each one a full estimate; a wider range
 # is refused rather than left running for hours.
@@ -159,12 +165,20 @@ def _cover_times(model: SparsityModel, streams, count: int) -> np.ndarray:
                 draw_chunk(stream, out=part)
                 np.maximum(head, part, out=head)
 
-    block = np.empty((max(1, min(_streams._BLOCK, _COVER_BLOCK_CELLS // n, count)), width))
+    block = _trial_block(count, np.float64, width)
     values = np.empty(count, dtype=np.int64)
     for start in range(0, count, len(block)):
         used = _streams.fill(block[:count - start], streams, draw)
         values[start:start + len(used)] = cover_times(used.max(axis=1))
     return values
+
+
+def _trial_block(count: int, dtype, *shape: int) -> np.ndarray:
+    # A buffer for the next block of `count` trials, a row of `shape` each: at
+    # most _streams._BLOCK rows and _BLOCK_BYTES bytes, and at least one row.
+    row_bytes = np.dtype(dtype).itemsize * math.prod(shape)
+    rows = max(1, min(_streams._BLOCK, _BLOCK_BYTES // max(1, row_bytes), count))
+    return np.empty((rows, *shape), dtype)
 
 
 def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndarray:
@@ -184,9 +198,13 @@ def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndar
     return _streams.pattern_draw(model.theta)(stream, out=np.empty((model.n, p), dtype=bool))
 
 
-def _proportion_estimate(outcomes, trials: int, seed: int) -> MonteCarloEstimate:
-    """Share of true outcomes among `trials`, with binomial std error and Wilson interval."""
-    hits = sum(map(bool, outcomes))
+def _covered(patterns: np.ndarray) -> int:
+    """How many of the stacked (..., n, p) patterns hold a nonzero in every row."""
+    return int(np.count_nonzero(patterns.any(axis=-1).all(axis=-1)))
+
+
+def _proportion_estimate(hits: int, trials: int, seed: int) -> MonteCarloEstimate:
+    """The share hits / trials, with binomial std error and Wilson interval."""
     mean = hits / trials
     std_error = math.sqrt(mean * (1.0 - mean) / trials)
     ci_low, ci_high = _wilson_interval(hits, trials)
@@ -235,7 +253,9 @@ def estimate_coverage_probability(
     """Fraction of n x p patterns with no all-zero row, with a Wilson CI.
 
     Each trial draws its whole n x p pattern, so an n x p past the largest
-    array numpy can allocate raises DomainError.
+    array numpy can allocate raises DomainError.  Trials are drawn into a
+    stacked block of at most 1,024 patterns and 2^16 indicators (a larger
+    pattern is a block of its own) and counted one reduction per block.
     """
     _checked_model(model)
     p = checked_int(p, "p", 0)
@@ -243,10 +263,11 @@ def estimate_coverage_probability(
     seed = _streams.checked_seed(seed)
     n = model.n
     _streams._check_draw_size("an n x p", n, p)
-    draw, pattern = _streams.pattern_draw(model.theta), np.empty((n, p), dtype=bool)
+    draw, block = _streams.pattern_draw(model.theta), _trial_block(trials, bool, n, p)
     streams = _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials)
-    outcomes = (draw(s, out=pattern).any(axis=1).all() for s in streams)
-    return _proportion_estimate(outcomes, trials, seed)
+    hits = sum(_covered(_streams.fill(block[:trials - start], streams, draw))
+               for start in range(0, trials, len(block)))
+    return _proportion_estimate(hits, trials, seed)
 
 
 def phase_sweep(

@@ -23,11 +23,15 @@ QR with its sign fix gives the block's V, one np.where its X and one
 stacked matmul its Y.  A single instance is a block of one, so
 assemble_instance, random_orthogonal and sample_sparse_matrix return the
 factors coverage_experiment checks, bit for bit.
+
+The algebra is checked a block at a time too: coverage_experiment passes
+each block's stacked V, X and Y to _algebra_defects, the function
+OmfInstance checks its one instance with, and counts the block's covered
+X in one reduction; it builds no OmfInstance per instance.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -39,7 +43,7 @@ import numpy as np
 from . import _streams
 from .coverage import SparsityModel, _checked_model
 from .errors import DomainError, checked_int
-from .montecarlo import MonteCarloEstimate, _proportion_estimate
+from .montecarlo import MonteCarloEstimate, _covered, _proportion_estimate
 
 __all__ = [
     "OmfInstance",
@@ -55,6 +59,8 @@ __all__ = [
 
 _ORTHOGONALITY_TOL = 1e-10
 _RECONSTRUCTION_RTOL = 1e-8
+# OmfInstance's defect attributes, in the order _algebra_defects returns them.
+_DEFECTS = ("orthogonality_error", "reconstruction_error", "norm_preservation_error")
 
 # Most doubles in one block's stacked draws: n x n Gaussians and n x p values
 # per instance.  A larger instance is a block of its own.
@@ -71,7 +77,8 @@ class OmfInstance:
     Construction checks that n and p are integers of at least 1, that
     theta lies in (0, 1] and that seed is an unsigned 64-bit integer, as
     read_instance checks a header, and that v, x and y are real numeric
-    ndarrays of their shapes.  It validates the defining algebra, refusing
+    ndarrays of their shapes.  It validates the defining algebra in
+    float64 (_algebra_defects, so integer factors cannot wrap), refusing
     a NaN or infinite defect and an infinite ||X|| or ||Y||, and keeps
     three defects as attributes, in the Frobenius norm:
     orthogonality_error is max |V^T V - I|, at most 1e-10;
@@ -102,26 +109,56 @@ class OmfInstance:
                 raise DomainError(f"{name} must be a real numeric ndarray, got {kind}")
             if matrix.shape != (self.n, cols):
                 raise DomainError(f"{name} must be {self.n} x {cols}, got {matrix.shape}")
-        # A NaN defect compares false both ways, so each check is written to
-        # refuse it: a NaN or infinite entry makes a defect NaN or infinite.
-        # numpy would warn of the NaN or overflow such entries make inside
-        # the products; the checks below report them instead.
-        with np.errstate(invalid="ignore", over="ignore"):
-            gram_defect = float(np.abs(self.v.T @ self.v - np.eye(self.n)).max())
-            x_norm, y_norm = float(np.linalg.norm(self.x)), float(np.linalg.norm(self.y))
-            scale = max(1.0, x_norm)
-            residual = float(np.linalg.norm(self.v.T @ self.y - self.x)) / scale
-            norm_gap = abs(y_norm - x_norm) / scale
-        if not gram_defect <= _ORTHOGONALITY_TOL:
-            raise DomainError(f"v is not orthogonal: max Gram defect {gram_defect:.3e}")
-        if not residual <= _RECONSTRUCTION_RTOL:
-            raise DomainError(f"y does not equal v @ x: relative residual {residual:.3e}")
-        # An overflowing ||x|| would scale any residual down to 0.
-        if not (math.isfinite(x_norm) and math.isfinite(y_norm)):
-            raise DomainError(f"x and y must have finite norms, got {x_norm} and {y_norm}")
-        object.__setattr__(self, "orthogonality_error", gram_defect)
-        object.__setattr__(self, "reconstruction_error", residual)
-        object.__setattr__(self, "norm_preservation_error", norm_gap)
+        defects = _algebra_defects(self.v[np.newaxis], self.x[np.newaxis], self.y[np.newaxis])
+        for name, defect in zip(_DEFECTS, defects):
+            object.__setattr__(self, name, float(defect[0]))
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    # The Frobenius norm of each matrix in a (..., n, p) stack, as
+    # np.linalg.norm takes it of a C-ordered matrix: the square root of the
+    # dot product of its raveled entries, which numpy computes by the same
+    # dot call for a (1 x np) @ (np x 1) matmul.
+    flat = stack.reshape(*stack.shape[:-2], 1, stack.shape[-2] * stack.shape[-1])
+    return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
+
+
+def _algebra_defects(
+    v: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OmfInstance's three defects for each instance of a stack, checked.
+
+    v, x and y are (..., n, n), (..., n, p) and (..., n, p) stacks of real
+    factors, taken in float64, so integer factors cannot wrap.  Returns the
+    Gram, reconstruction and norm defects (OmfInstance's attributes) as
+    arrays over the leading axes.  The first instance, in order, that fails
+    a check raises DomainError for the first check it fails: the Gram
+    defect, then the reconstruction defect (a NaN defect fails both), then
+    ||X|| and ||Y||, which must be finite, because an overflowing ||X||
+    would scale any residual down to 0.  numpy would warn of the NaN or
+    overflow that bad entries make inside the products; the checks report
+    them instead.
+    """
+    v, x, y = (np.asarray(factor, dtype=np.float64) for factor in (v, x, y))
+    v_t = np.swapaxes(v, -1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.abs(v_t @ v - np.eye(v.shape[-1])).max(axis=(-2, -1))
+        x_norm, y_norm = _frobenius(x), _frobenius(y)
+        scale = np.fmax(1.0, x_norm)  # max(1.0, ||X||), a NaN norm scaling by 1
+        residual = _frobenius(v_t @ y - x) / scale
+        gap = np.abs(y_norm - x_norm) / scale
+        passed = ((gram <= _ORTHOGONALITY_TOL) & (residual <= _RECONSTRUCTION_RTOL)
+                  & np.isfinite(x_norm) & np.isfinite(y_norm)).ravel()
+    if not passed.all():
+        first = int(np.argmin(passed))
+        gram_t, residual_t, x_t, y_t = (
+            float(value.ravel()[first]) for value in (gram, residual, x_norm, y_norm))
+        if not gram_t <= _ORTHOGONALITY_TOL:
+            raise DomainError(f"v is not orthogonal: max Gram defect {gram_t:.3e}")
+        if not residual_t <= _RECONSTRUCTION_RTOL:
+            raise DomainError(f"y does not equal v @ x: relative residual {residual_t:.3e}")
+        raise DomainError(f"x and y must have finite norms, got {x_t} and {y_t}")
+    return gram, residual, gap
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,8 +299,10 @@ def coverage_experiment(
 
     Trial t's instance is assemble_instance(n, p, theta, s) for the
     sub-seed s of (seed, INSTANCE, t), built a block of instances at a
-    time, and each is checked by OmfInstance as assemble_instance's is, so
-    the experiment exercises the whole pipeline.  The hit law is identical
+    time.  Each block's algebra is checked by _algebra_defects, the check
+    OmfInstance makes, with the same tolerances and the same DomainError
+    for its first bad instance, so the experiment exercises the whole
+    pipeline.  The hit law is identical
     to montecarlo.estimate_coverage_probability because both draw the
     pattern from the shared pattern stream.  trials and seed are checked
     first, then n, theta, p and the n x n and n x p draw sizes, all before
@@ -276,15 +315,11 @@ def coverage_experiment(
     _streams._check_draw_size("an n x n", model.n, model.n)
     _streams._check_draw_size("an n x p", model.n, p)
     sub_seeds = _streams.trial_seeds(seed, _streams.INSTANCE, 0, trials)
-
-    def outcomes() -> Iterator[bool]:
-        for block, v, x, y in _instance_blocks(model, p, sub_seeds):
-            for sub_seed, v_i, x_i, y_i in zip(block, v, x, y):
-                OmfInstance(n=model.n, p=p, theta=model.theta, v=v_i, x=x_i, y=y_i, seed=sub_seed)
-            # row_coverage_check(x_i).covered: every row of x_i holds a nonzero.
-            yield from (x != 0).any(axis=2).all(axis=1).tolist()
-
-    return _proportion_estimate(outcomes(), trials, seed)
+    hits = 0
+    for _, v, x, y in _instance_blocks(model, p, sub_seeds):
+        _algebra_defects(v, x, y)
+        hits += _covered(x)  # row_coverage_check(x_t).covered for each instance t
+    return _proportion_estimate(hits, trials, seed)
 
 
 def _checked_path(path: object) -> Path:
@@ -305,8 +340,7 @@ def write_instance(instance: OmfInstance, path: str | Path) -> None:
     path = _checked_path(path)
     lines = [f"{instance.n} {instance.p} {instance.theta!r} {instance.seed}"]
     for matrix in (instance.v, instance.x, instance.y):
-        for row in matrix:
-            lines.append(" ".join(repr(float(value)) for value in row))
+        lines.extend(" ".join(map(repr, row)) for row in np.asarray(matrix, dtype=float).tolist())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -330,9 +364,7 @@ def read_instance(path: str | Path) -> OmfInstance:
 
     def block(start: int, cols: int) -> np.ndarray:
         try:
-            matrix = np.array(
-                [[float(token) for token in lines[i].split()] for i in range(start, start + n)]
-            )
+            matrix = np.array([list(map(float, lines[i].split())) for i in range(start, start + n)])
         except ValueError as exc:
             raise DomainError(f"malformed matrix row in {path}: {exc}") from None
         if matrix.shape != (n, cols):
