@@ -59,8 +59,6 @@ __all__ = [
 
 _ORTHOGONALITY_TOL = 1e-10
 _RECONSTRUCTION_RTOL = 1e-8
-# OmfInstance's defect attributes, in the order _algebra_defects returns them.
-_DEFECTS = ("orthogonality_error", "reconstruction_error", "norm_preservation_error")
 
 # Most doubles in one block's stacked draws: n x n Gaussians and n x p values
 # per instance.  A larger instance is a block of its own.
@@ -109,9 +107,11 @@ class OmfInstance:
                 raise DomainError(f"{name} must be a real numeric ndarray, got {kind}")
             if matrix.shape != (self.n, cols):
                 raise DomainError(f"{name} must be {self.n} x {cols}, got {matrix.shape}")
-        defects = _algebra_defects(self.v[np.newaxis], self.x[np.newaxis], self.y[np.newaxis])
-        for name, defect in zip(_DEFECTS, defects):
-            object.__setattr__(self, name, float(defect[0]))
+        gram, residual, gap = _algebra_defects(
+            self.v[np.newaxis], self.x[np.newaxis], self.y[np.newaxis])
+        object.__setattr__(self, "orthogonality_error", float(gram[0]))
+        object.__setattr__(self, "reconstruction_error", float(residual[0]))
+        object.__setattr__(self, "norm_preservation_error", float(gap[0]))
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -133,9 +133,9 @@ def _algebra_defects(
     Gram, reconstruction and norm defects (OmfInstance's attributes) as
     arrays over the leading axes.  The first instance, in order, that fails
     a check raises DomainError for the first check it fails: the Gram
-    defect, then the reconstruction defect (a NaN defect fails both), then
-    ||X|| and ||Y||, which must be finite, because an overflowing ||X||
-    would scale any residual down to 0.  numpy would warn of the NaN or
+    defect, then the reconstruction defect (each refuses a NaN defect, which
+    a NaN or infinite entry makes), then ||X|| and ||Y||, which must be
+    finite, because an overflowing ||X|| would scale any residual down to 0.  numpy would warn of the NaN or
     overflow that bad entries make inside the products; the checks report
     them instead.
     """
@@ -209,8 +209,8 @@ def _sparse_factors(
 
 def _instance_blocks(
     model: SparsityModel, p: int, seeds: Iterable[int]
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """Each block of seeds with the stacked V, X and Y = V X of its instances (model, p, seed)."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The stacked V, X and Y = V X of the instances (model, p, seed), a block at a time."""
     n = model.n
     size = max(1, min(_streams._BLOCK, _BLOCK_CELLS // (n * n + n * p)))
     seeds = iter(seeds)
@@ -218,7 +218,7 @@ def _instance_blocks(
         streams = _streams.spawn_streams(block, _FACTOR_TAGS)
         v = _orthogonal_factors(streams, len(block), n)
         x = _sparse_factors(streams, len(block), model, p)
-        yield block, v, x, v @ x
+        yield v, x, v @ x
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
@@ -268,7 +268,7 @@ def assemble_instance(n: int, p: int, theta: float, seed: int) -> OmfInstance:
     seed = _streams.checked_seed(seed)
     _streams._check_draw_size("an n x n", model.n, model.n)
     _streams._check_draw_size("an n x p", model.n, p)
-    _, v, x, y = next(_instance_blocks(model, p, [seed]))
+    v, x, y = next(_instance_blocks(model, p, [seed]))
     return OmfInstance(n=model.n, p=p, theta=model.theta, v=v[0], x=x[0], y=y[0], seed=seed)
 
 
@@ -316,7 +316,7 @@ def coverage_experiment(
     _streams._check_draw_size("an n x p", model.n, p)
     sub_seeds = _streams.trial_seeds(seed, _streams.INSTANCE, 0, trials)
     hits = 0
-    for _, v, x, y in _instance_blocks(model, p, sub_seeds):
+    for v, x, y in _instance_blocks(model, p, sub_seeds):
         _algebra_defects(v, x, y)
         hits += _covered(x)  # row_coverage_check(x_t).covered for each instance t
     return _proportion_estimate(hits, trials, seed)

@@ -414,16 +414,17 @@ def test_coverage_experiment_refuses_as_assemble_instance_does(n, theta, p, mess
 
 
 def _corrupted_blocks(monkeypatch, corrupt):
-    # coverage_experiment's instance blocks, with corrupt(v, x, y) applied to the first.
+    # coverage_experiment's instance blocks, with corrupt(v, x, y) applied to
+    # the first; a block ends with its stacked v, x and y.
     build = omf._instance_blocks
     faults = []
 
     def blocks(*args):
-        for index, (block, v, x, y) in enumerate(build(*args)):
+        for index, block in enumerate(build(*args)):
             if index == 0:
-                corrupt(v, x, y)
-                faults.append((block, v.copy(), x.copy(), y.copy()))
-            yield block, v, x, y
+                corrupt(*block[-3:])
+                faults.append(tuple(factor.copy() for factor in block[-3:]))
+            yield block
 
     monkeypatch.setattr(omf, "_instance_blocks", blocks)
     return faults
@@ -464,11 +465,10 @@ def test_coverage_experiment_refuses_a_bad_instance_as_omf_instance_does(
         with pytest.raises(DomainError) as experimented:
             coverage_experiment(3, 0.5, 6, 20, 11)
     assert [str(w.message) for w in caught] == []
-    (block, v, x, y), = faults
-    assert len(block) == 20
+    (v, x, y), = faults
+    assert len(v) == 20
     with pytest.raises(DomainError) as built:
-        OmfInstance(n=3, p=6, theta=0.5, v=v[failing], x=x[failing], y=y[failing],
-                    seed=block[failing])
+        OmfInstance(n=3, p=6, theta=0.5, v=v[failing], x=x[failing], y=y[failing], seed=0)
     assert str(experimented.value) == str(built.value)
     assert str(built.value).startswith(("v is not orthogonal", "y does not equal"))
 
