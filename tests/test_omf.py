@@ -413,62 +413,40 @@ def test_coverage_experiment_refuses_as_assemble_instance_does(n, theta, p, mess
     assert str(experimented.value) == str(assembled.value)
 
 
-def _corrupted_blocks(monkeypatch, corrupt):
-    # coverage_experiment's instance blocks, with corrupt(v, x, y) applied to
-    # the first; a block ends with its stacked v, x and y.
-    build = omf._instance_blocks
-    faults = []
+def _corrupt(v, x, y, faults):
+    # Each fault scales instance t's V by 1 + 1e-6 ("v") or sets a NaN in its y ("y").
+    for factor, t in faults:
+        if factor == "v":
+            v[t] *= 1.0 + 1e-6
+        else:
+            y[t, 1, 2] = math.nan
 
-    def blocks(*args):
-        for index, block in enumerate(build(*args)):
-            if index == 0:
-                corrupt(*block[-3:])
-                faults.append(tuple(factor.copy() for factor in block[-3:]))
+
+@pytest.mark.parametrize("faults", [[("v", 9)], [("y", 9)], [("y", 9), ("v", 15)]])
+def test_coverage_experiment_refuses_a_bad_instance_as_omf_instance_does(faults, monkeypatch):
+    # Instance 9 of a 20-instance block is refused with the message
+    # OmfInstance gives for it (with a later bad instance too, still
+    # instance 9's), and no numpy warning comes first.  A block ends with
+    # its stacked v, x and y.
+    build, seen = omf._instance_blocks, []
+
+    def corrupted(*args):
+        for block in build(*args):
+            if not seen:
+                _corrupt(*block[-3:], faults)
+                seen.append([factor.copy() for factor in block[-3:]])
             yield block
 
-    monkeypatch.setattr(omf, "_instance_blocks", blocks)
-    return faults
-
-
-def _scale_v(t):
-    def corrupt(v, x, y):
-        v[t] *= 1.0 + 1e-6
-    return corrupt
-
-
-def _nan_y(t):
-    def corrupt(v, x, y):
-        y[t, 1, 2] = math.nan
-    return corrupt
-
-
-def _both(first, second):
-    def corrupt(v, x, y):
-        first(v, x, y)
-        second(v, x, y)
-    return corrupt
-
-
-@pytest.mark.parametrize(
-    "corrupt, failing",
-    [(_scale_v(9), 9), (_nan_y(9), 9), (_both(_nan_y(9), _scale_v(15)), 9)],
-)
-def test_coverage_experiment_refuses_a_bad_instance_as_omf_instance_does(
-    corrupt, failing, monkeypatch
-):
-    # Instance `failing` of a 20-instance block is refused with the message
-    # OmfInstance gives for it (with a later bad instance, the first one's),
-    # and no numpy warning comes first.
-    faults = _corrupted_blocks(monkeypatch, corrupt)
+    monkeypatch.setattr(omf, "_instance_blocks", corrupted)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(DomainError) as experimented:
             coverage_experiment(3, 0.5, 6, 20, 11)
     assert [str(w.message) for w in caught] == []
-    (v, x, y), = faults
+    (v, x, y), = seen
     assert len(v) == 20
     with pytest.raises(DomainError) as built:
-        OmfInstance(n=3, p=6, theta=0.5, v=v[failing], x=x[failing], y=y[failing], seed=0)
+        OmfInstance(n=3, p=6, theta=0.5, v=v[9], x=x[9], y=y[9], seed=0)
     assert str(experimented.value) == str(built.value)
     assert str(built.value).startswith(("v is not orthogonal", "y does not equal"))
 
