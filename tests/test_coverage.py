@@ -416,12 +416,16 @@ def _rows_built(n, theta):
 
 
 def _counting_row_sums(monkeypatch):
-    # The numbers of rows of the blocks passed to coverage._row_sums.
-    rows, row_sums = [], coverage._row_sums
+    # The (rows, width) shapes of the blocks passed to coverage._row_sums.
+    shapes, row_sums = [], coverage._row_sums
     monkeypatch.setattr(
-        coverage, "_row_sums", lambda block, *rest: rows.append(len(block)) or row_sums(block, *rest)
+        coverage, "_row_sums", lambda block, *rest: shapes.append(block.shape) or row_sums(block, *rest)
     )
-    return rows
+    return shapes
+
+
+def _rows_summed(shapes):
+    return sum(rows for rows, _ in shapes)
 
 
 def test_phase_sum_raw_rows_that_fail_the_band_are_summed_in_full(monkeypatch):
@@ -445,7 +449,7 @@ def test_phase_sum_raw_rows_that_fail_the_band_are_summed_in_full(monkeypatch):
         rows.clear()
         for point in points:
             assert phase_sum_raw(SparsityModel(*point)) == pins[point], point
-        return len(fsums) - len(points), sum(rows) - sum(_rows_built(*point) for point in points)
+        return len(fsums) - len(points), _rows_summed(rows) - sum(_rows_built(*point) for point in points)
 
     linear = [(250, 0.01), (300, 0.2)]  # 250 + 179 rows built
     log = [(146, 0.995), (300, 0.9030280321355951), (2000, 0.3), (1000, 0.52)]  # 7 + 17 + 112 + 54
@@ -490,9 +494,9 @@ def test_phase_sum_raw_pinned_across_the_skip_edge(monkeypatch):
             rows.clear()
             assert phase_sum_raw(model) == value, (n, theta, skip)
             if skip == math.inf:
-                assert sum(rows) == (0 if theta == 1.0 else n), (n, theta)
+                assert _rows_summed(rows) == (0 if theta == 1.0 else n), (n, theta)
             else:
-                assert abs(sum(rows) - min(n, 40.0 / -model.log_q)) <= 1, (n, theta)
+                assert abs(_rows_summed(rows) - min(n, 40.0 / -model.log_q)) <= 1, (n, theta)
 
 
 def test_phase_sum_raw_builds_only_the_rows_whose_wait_is_not_one(monkeypatch):
@@ -500,7 +504,37 @@ def test_phase_sum_raw_builds_only_the_rows_whose_wait_is_not_one(monkeypatch):
     # < 40; the rest are not built.
     rows = _counting_row_sums(monkeypatch)
     assert phase_sum_raw(SparsityModel(1000, 0.6)) == PHASE_SUM_RAW_WIDE_PINS[(1000, 0.6)]
-    assert 0 < sum(rows) <= 45
+    assert 0 < _rows_summed(rows) <= 45
+
+
+# The numbers of blocks phase_sum_raw sums at the benchmark's phase points,
+# recorded from the planner that grew each block from a full-triangle guess.
+PHASE_SUM_RAW_BLOCK_COUNTS = {
+    (3, 0.1): 1, (100, 0.1): 1, (2000, 0.1): 17, (100, 0.9995): 1, (1000, 0.6): 3,
+}
+
+
+def test_phase_sum_raw_blocks_fit_the_budget_and_tile_the_rows(monkeypatch):
+    # Every block passed to _row_sums holds at most _BLOCK_CELLS cells or is
+    # a single row, and the blocks' rows add up to the rows built, so each
+    # built row is summed in exactly one block.  The rows built are the last
+    # ceil(40 / lambda) - 1 (_rows_built may be one off where (n-k) lambda
+    # rounds to 40).  At the benchmark's points the blocks are as many as
+    # they were.
+    points = {**PHASE_SUM_RAW_PINS, **PHASE_SUM_RAW_WIDE_PINS}
+    for name in ("phase_sum_raw_pins.json", "phase_sum_raw_skip_pins.json"):
+        pins = json.loads((DATA_DIR / name).read_text(encoding="utf-8"))
+        points.update(((n, theta), value) for n, theta, value, _ in pins)
+    assert PHASE_SUM_RAW_BLOCK_COUNTS.keys() <= points.keys()
+    shapes = _counting_row_sums(monkeypatch)
+    for (n, theta), value in points.items():
+        shapes.clear()
+        assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta)
+        assert all(rows * width <= coverage._BLOCK_CELLS or rows == 1 for rows, width in shapes)
+        built = max(0, math.ceil(min(40.0 / -SparsityModel(n, theta).log_q, n + 1)) - 1)
+        assert _rows_summed(shapes) == built, (n, theta)
+        if (n, theta) in PHASE_SUM_RAW_BLOCK_COUNTS:
+            assert len(shapes) == PHASE_SUM_RAW_BLOCK_COUNTS[n, theta], (n, theta)
 
 
 def _padded_block(rows):
