@@ -43,6 +43,7 @@ on it, runs without loading numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -223,20 +224,15 @@ def harmonic(n: int) -> float:
 
 
 def _row_blocks(n: int, width, first: int):
-    # (k0, k1, w) for rows k0 .. k1-1 of the triangle r <= k, first <= k < n,
-    # over the columns 0 .. w-1, w = width(k1): as many rows as fit in
-    # _BLOCK_CELLS cells, and at least one.  A width only grows with k1, so
-    # a row count that fits a wider band fits every narrower one.
+    # (k0, k1, w) for the rows k0 .. k1-1, first <= k < n, each block over
+    # w = width(k1) columns, where width never falls as k1 grows.  reach ends
+    # a block at the first row's width, and k1 one at reach's width, which is
+    # no smaller; so k1 <= reach and (k1 - k0) width(k1) <= _BLOCK_CELLS,
+    # unless the block is a single row.  A constant width gives equal blocks.
     k0 = first
     while k0 < n:
-        rows = max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK_CELLS) - k0) // 2)  # fits at full width
-        while k0 + rows < n:
-            more = min(n - k0, _BLOCK_CELLS // width(k0 + rows))
-            more = min(more, _BLOCK_CELLS // width(k0 + more))
-            if more <= rows:
-                break
-            rows = more
-        k1 = min(n, k0 + rows)
+        reach = min(n, k0 + max(1, _BLOCK_CELLS // width(k0 + 1)))
+        k1 = min(n, k0 + max(1, _BLOCK_CELLS // width(reach)))
         yield k0, k1, width(k1)
         k0 = k1
 
@@ -330,9 +326,7 @@ def _inner_complement_log(n: int, theta: float, log_q: float, first: int) -> lis
         return list(map(math.exp, shifted_logs(k, k + 1, 0, k + 1)[1][0].tolist()))
 
     complements = []
-    rows = max(1, _BLOCK_CELLS // (b - a))
-    for k0 in range(first, n, rows):
-        k1 = min(n, k0 + rows)
+    for k0, k1, _ in _row_blocks(n, lambda _: b - a, first):
         peaks, shifted = shifted_logs(k0, k1, a, b)
         kept = shifted >= _EXP_CUT
         values = shifted[kept]
@@ -632,10 +626,4 @@ def coverage_threshold(model: SparsityModel, delta: float) -> int:
     while (probe := edge + step if up else max(0, edge - step)) > 0 and covered(probe) != up:
         edge, step = probe, 2 * step
     low, high = (edge, probe) if up else (probe, edge)
-    while high - low > 1:
-        mid = (low + high) // 2
-        if covered(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+    return low + 1 + bisect.bisect_left(range(low + 1, high), True, key=covered)

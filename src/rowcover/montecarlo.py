@@ -233,12 +233,14 @@ def estimate_expected_cover_time(
     """Sample mean of `trials` independent cover times with a normal CI.
 
     An n past the largest draw numpy can allocate raises DomainError before
-    any trial.
+    any trial, and so does a trial count past the largest array of cover
+    times (one int64 each) numpy can allocate.
     """
     _checked_model(model)
     trials = checked_int(trials, "trials", 2)  # two, for a confidence interval
     seed = _streams.checked_seed(seed)
     _streams._check_draw_size("an n", model.n)
+    _streams._check_draw_size("a trials", trials)
     streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
     values = _cover_times(model, streams, trials)
     mean = float(values.mean())

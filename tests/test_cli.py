@@ -340,6 +340,18 @@ def test_simulate_refuses_before_drawing_any_trial(capsys, monkeypatch):
     assert stderr.startswith("rowcover: ") and "10000000" in stderr
 
 
+def test_simulate_refuses_a_trial_count_numpy_cannot_allocate(capsys):
+    # 2^64 cover times, one int64 each, are past numpy's largest array: one
+    # error line and exit 1, not a traceback.
+    code, stdout, stderr = run_capture(
+        ["simulate", "--n", "1", "--theta", "0.5", "--trials", str(2**64)], capsys
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("rowcover: ") and "numpy can allocate" in stderr
+    assert stderr.count("\n") == 1
+
+
 def test_omf_failed_write_is_a_domain_error(tmp_path, capsys, monkeypatch):
     # A location that passes the up-front check can still fail to take
     # the write, e.g. on a full disk.

@@ -537,6 +537,29 @@ def test_phase_sum_raw_blocks_fit_the_budget_and_tile_the_rows(monkeypatch):
             assert len(shapes) == PHASE_SUM_RAW_BLOCK_COUNTS[n, theta], (n, theta)
 
 
+def test_row_blocks_tile_the_rows_within_the_budget():
+    # Over non-decreasing widths, the blocks tile first .. n-1 in order, each
+    # within _BLOCK_CELLS cells or a single row; a constant width w gives
+    # blocks of _BLOCK_CELLS // w rows, the last one shorter.
+    rng = np.random.default_rng(25)
+    cells = coverage._BLOCK_CELLS
+    for _ in range(100):
+        n = int(rng.integers(1, 5000))
+        first = int(rng.integers(0, n))
+        steps = rng.integers(0, 3, n + 1) * (rng.random(n + 1) < rng.random())
+        widths = (np.cumsum(steps) + int(rng.integers(1, 2 * cells))).tolist()
+        blocks = list(coverage._row_blocks(n, widths.__getitem__, first))
+        assert [k0 for k0, _, _ in blocks] == [first, *(k1 for _, k1, _ in blocks[:-1])]
+        assert blocks[-1][1] == n
+        for k0, k1, width in blocks:
+            assert width == widths[k1] and ((k1 - k0) * width <= cells or k1 - k0 == 1)
+    for n, first, w in ((1, 0, 1), (2000, 1957, 457), (9000, 3, 1), (50, 10, 3 * cells)):
+        rows = max(1, cells // w)
+        blocks = [(k0, min(n, k0 + rows), w) for k0 in range(first, n, rows)]
+        assert list(coverage._row_blocks(n, lambda _: w, first)) == blocks
+    assert list(coverage._row_blocks(5, lambda _: 100, 5)) == []
+
+
 def _padded_block(rows):
     width = max(len(row) for row in rows)
     return np.array([row + [0.0] * (width - len(row)) for row in rows])

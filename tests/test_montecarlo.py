@@ -321,6 +321,20 @@ def test_cover_time_draw_numpy_cannot_allocate_is_refused():
             estimate_expected_cover_time(SparsityModel(n, 0.5), 2, 0)
 
 
+def test_trial_count_numpy_cannot_allocate_is_refused(monkeypatch):
+    # One int64 cover time per trial: numpy would raise a bare ValueError for
+    # 2^60 or more of them, more bytes than an intp holds, or at 2^64 a
+    # dimension past the largest intp.  The count is refused before any
+    # stream is derived.
+    def no_streams(*args):
+        raise AssertionError("a trial stream was derived before the count was refused")
+
+    monkeypatch.setattr(_streams, "trial_streams", no_streams)
+    for trials in (2**60, 2**61, 2**64):
+        with pytest.raises(DomainError, match=f"a trials = {trials} draw .* numpy can allocate"):
+            estimate_expected_cover_time(SparsityModel(1, 0.5), trials, 0)
+
+
 def test_column_process_agrees_with_geometric_shortcut():
     # Same distribution, different sampling paths: compare the two means
     # at 3 sigma of their combined standard error.
