@@ -29,12 +29,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coverage import (
+    _DEFAULT_TOL,
     _MAX_TAIL_TERMS,
     SparsityModel,
     _checked_model,
     _complement_power,
-    exact_expected_cover_time,
+    _expected_cover_time,
     harmonic,
+    phase_sum_expectation,
 )
 from .errors import DomainError, checked_int, checked_real
 
@@ -131,6 +133,11 @@ def digamma_psi0(n: int) -> float:
     return harmonic(n) - EULER_GAMMA
 
 
+def _digamma_bound(n: int, h_n: float, log_q: float) -> float:
+    # digamma_bound from a given H_n, with psi0(n+1) formed as digamma_psi0 does.
+    return n - (EULER_GAMMA + (h_n - EULER_GAMMA)) / log_q
+
+
 def digamma_bound(model: SparsityModel) -> float:
     """n - (gamma + psi0(n+1)) / ln(1-theta).
 
@@ -139,7 +146,7 @@ def digamma_bound(model: SparsityModel) -> float:
     """
     n, theta = _checked_model(model).n, model.theta
     _refuse_degenerate("digamma_bound", theta)
-    return n - (EULER_GAMMA + digamma_psi0(n)) / model.log_q
+    return _digamma_bound(n, harmonic(n), model.log_q)
 
 
 def digamma_approx_bound(model: SparsityModel) -> float:
@@ -201,18 +208,22 @@ def bound_report(model: SparsityModel) -> BoundReport:
 
     The digamma-family fields are None at theta = 1; the regime warning
     from small_theta_bound is suppressed here since the report is a survey,
-    not an endorsement of any one bound.
+    not an endorsement of any one bound.  The exact expectation is E[T] as
+    exact_expected_cover_time returns it at its default tol, and the
+    digamma bound reuses the H_n that E[T]'s closed form sums, so each O(n)
+    sum runs at most once.
     """
     degenerate = _checked_model(model).theta == 1.0
+    phase = phase_sum_expectation(model)  # refuses an n past 10^8 first
+    exact, _, h_n = _expected_cover_time(model, _DEFAULT_TOL)
     if degenerate:
         dig = approx = small = None
     else:
-        dig = digamma_bound(model)
+        dig = _digamma_bound(model.n, harmonic(model.n) if h_n is None else h_n, model.log_q)
         approx = digamma_approx_bound(model)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallThetaRegimeWarning)
             small = small_theta_bound(model)
-    summary = exact_expected_cover_time(model)
     return BoundReport(
         model=model,
         theorem_bound=theorem_bound(model),
@@ -220,6 +231,6 @@ def bound_report(model: SparsityModel) -> BoundReport:
         digamma_bound=dig,
         digamma_approx_bound=approx,
         small_theta_bound=small,
-        phase_sum=summary.phase_sum,
-        exact_expectation=summary.exact_expectation,
+        phase_sum=phase,
+        exact_expectation=exact,
     )

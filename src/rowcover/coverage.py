@@ -79,6 +79,9 @@ _INCLUSION_EXCLUSION_MAX_N = 30
 _EM_DERIVATIVES = {1: (-1.0, -1.0), 2: (0.0, 6.0), 3: (0.0, -6.0)}
 _EM_REMAINDER = 26.0 / 720.0
 
+# exact_expected_cover_time's default tol, which bound_report uses too.
+_DEFAULT_TOL = 1e-10
+
 # Most terms the direct tail sum, the O(n) sums over rows, or phase_sum_raw's
 # binomial sums may take; a call that needs more is refused rather than left
 # running for minutes or hours.
@@ -483,7 +486,7 @@ def phase_sum_expectation(model: SparsityModel) -> float:
     return _finite_sum(terms(), "the phase sum", theta)
 
 
-def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> CoverTimeSummary:
+def exact_expected_cover_time(model: SparsityModel, tol: float = _DEFAULT_TOL) -> CoverTimeSummary:
     """E[T] up to rounding and an error of at most tol, with reference values.
 
     With lambda = -ln(1-theta), E[T] = sum_{t >= 0} f(t) for
@@ -510,19 +513,27 @@ def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> Cover
     tol = checked_real(tol, "tol")
     if not tol > 0.0 or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite float, got {tol!r}")
-    n, theta = model.n, model.theta
     phase = phase_sum_expectation(model)
-    classic = classic_harmonic_sum(n)
+    classic = classic_harmonic_sum(model.n)
+    value, bound, _ = _expected_cover_time(model, tol)
+    return CoverTimeSummary(value, phase, classic, bound)
+
+
+def _expected_cover_time(model: SparsityModel, tol: float) -> tuple[float, float, float | None]:
+    # E[T] and its truncation_error_bound, as exact_expected_cover_time
+    # documents, and the H_n that the closed form computed (None otherwise),
+    # so that bound_report need not sum it again.
+    n, theta = model.n, model.theta
     if theta == 1.0:  # the t = 0 term would be exp(0 * -inf) = nan
-        return CoverTimeSummary(1.0, phase, classic, 0.0)
+        return 1.0, 0.0, None
 
     log_q = model.log_q
     lam = -log_q
     remainder = _EM_REMAINDER * lam**3
     if remainder <= tol:
         d1, d3 = _EM_DERIVATIVES.get(n, (0.0, 0.0))
-        value = math.fsum((harmonic(n) / lam, 0.5, -d1 * lam / 12.0, d3 * lam**3 / 720.0))
-        return CoverTimeSummary(value, phase, classic, remainder)
+        h_n = harmonic(n)
+        return math.fsum((h_n / lam, 0.5, -d1 * lam / 12.0, d3 * lam**3 / 720.0)), remainder, h_n
 
     target = math.log(tol) + math.log(theta) - math.log(n)
     horizon = max(0, math.ceil(target / log_q) - 1)
@@ -540,7 +551,7 @@ def exact_expected_cover_time(model: SparsityModel, tol: float = 1e-10) -> Cover
 
     powers = (math.exp(t * log_q) for t in range(horizon + 1))
     value = math.fsum(1.0 if q_t >= 1.0 else -math.expm1(n * math.log1p(-q_t)) for q_t in powers)
-    return CoverTimeSummary(value, phase, classic, tail_bound(horizon))
+    return value, tail_bound(horizon), None
 
 
 def inclusion_exclusion_expectation(model: SparsityModel) -> float:

@@ -18,6 +18,7 @@ fail; see README, Known limitations.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -511,6 +512,44 @@ def test_bound_report_degenerate_density_markers():
     assert report.theorem_bound == 3.0
     assert report.phase_sum == 3.0
     assert report.exact_expectation == 1.0
+
+
+def _count_sums(monkeypatch) -> dict[str, int]:
+    # Counts the calls of each O(n) sum, wherever coverage or bounds calls it.
+    calls = dict.fromkeys(("harmonic", "classic_harmonic_sum", "phase_sum_expectation"), 0)
+    for name in calls:
+        def spy(*args, name=name, original=getattr(coverage, name)):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (coverage, bounds):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("theta", [0.1, 1e-4, 1.0])
+def test_bound_report_sums_h_n_once_and_n_h_n_never(monkeypatch, theta):
+    # 0.1 takes E[T]'s tail sum, 1e-4 its closed form, which sums H_n.
+    calls = _count_sums(monkeypatch)
+    bound_report(SparsityModel(2000, theta))
+    assert calls == {"harmonic": int(theta < 1.0), "classic_harmonic_sum": 0,
+                     "phase_sum_expectation": 1}
+
+
+@pytest.mark.parametrize("theta", [0.1, 1e-4, 1.0])
+def test_exact_expectation_sums_each_reference_once(monkeypatch, theta):
+    calls = _count_sums(monkeypatch)
+    exact_expected_cover_time(SparsityModel(2000, theta))
+    assert calls == {"harmonic": int(theta == 1e-4), "classic_harmonic_sum": 1,
+                     "phase_sum_expectation": 1}
+
+
+def test_bound_report_refuses_non_finite_fields():
+    good = bound_report(SparsityModel(3, 0.5))
+    for field in ("theorem_bound", "phase_sum", "exact_expectation", "small_theta_bound"):
+        with pytest.raises(DomainError, match="non-finite"):
+            dataclasses.replace(good, **{field: math.inf})
 
 
 def test_bound_report_validates_orderings():
