@@ -3,12 +3,48 @@
 record() writes a freshly computed pin mapping and prints every key it
 adds, changes or drops, as old -> new, so that a change that re-records
 pins can list exactly the keys it moved.
+
+blas_note() names the OpenBLAS kernel the BLAS-dependent pins were
+recorded on and the one running now.  numpy's bundled OpenBLAS picks its
+kernel from the CPU when it loads, and LAPACK's QR and dgemm round
+differently per kernel, so the orthogonal factor V and the product Y of an
+OMF instance, and the defects printed from them, hold only on the kernel
+they were recorded on.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 from pathlib import Path
+
+RECORDED_BLAS_CORE = "SkylakeX"
+
+
+def blas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs, or None if it has no such library.
+
+    The scipy-openblas library in numpy's wheel exports
+    scipy_openblas_get_corename64_; loading it again returns the copy numpy
+    already loaded.  Another BLAS, or a numpy without the bundled library,
+    gives None.
+    """
+    import numpy
+
+    root = Path(numpy.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def blas_note() -> str:
+    """Where a BLAS-dependent pin was recorded and where it now runs."""
+    return f"recorded on {RECORDED_BLAS_CORE}, running on {blas_core() or 'an unnamed BLAS'}"
 
 
 def _flat(pins: dict, prefix: str = "") -> dict[str, object]:

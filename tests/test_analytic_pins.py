@@ -35,6 +35,7 @@ import random
 import sys
 from pathlib import Path
 
+from pin_tools import record
 from rowcover import (
     SparsityModel,
     bound_report,
@@ -119,7 +120,5 @@ def test_analytic_functions_match_their_pins():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(f"usage: {sys.argv[0]} --record")
-    from pin_tools import record
-
     points = json.loads(PINS.read_text(encoding="utf-8"))["points"] if PINS.exists() else None
     record(PINS, compute(points or _draw_points()))

@@ -688,6 +688,23 @@ def test_exact_expectation_tightens_with_tolerance():
     assert tight.exact_expectation - loose.exact_expectation <= 1e-6
 
 
+def test_exact_expectation_grows_a_horizon_one_term_short():
+    # Here ceil(target / log_q) - 1 leaves a dropped tail n (1-theta)^(h+1)
+    # / theta just above tol: (h + 1) log_q lands one rounding past the
+    # target, so the tail sum takes one term more than its first horizon.
+    n, theta, tol = 1900, 0.09670529158054293, 4.323636989642157e-91
+    model = SparsityModel(n, theta)
+    log_q = model.log_q
+    horizon = math.ceil((math.log(tol) + math.log(theta) - math.log(n)) / log_q) - 1
+    assert n * math.exp((horizon + 1) * log_q) / theta > tol
+    summary = exact_expected_cover_time(model, tol)
+    assert summary.truncation_error_bound == n * math.exp((horizon + 2) * log_q) / theta <= tol
+    with mpmath.workdps(40):
+        q = 1 - mpmath.mpf(theta)
+        truth = mpmath.nsum(lambda t: 1 - (1 - q**t) ** n, [0, mpmath.inf])
+    assert math.isclose(summary.exact_expectation, float(truth), rel_tol=1e-13)
+
+
 def test_exact_expectation_degenerate_density():
     summary = exact_expected_cover_time(SparsityModel(5, 1.0))
     assert summary.exact_expectation == 1.0

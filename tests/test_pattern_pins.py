@@ -34,6 +34,7 @@ import math
 import sys
 from pathlib import Path
 
+from pin_tools import blas_note, record
 from rowcover import (
     SparsityModel,
     assemble_instance,
@@ -131,11 +132,12 @@ def test_pattern_law_matches_its_pins():
     for kind in expected:
         moved = [key for key in expected[kind] if actual[kind].get(key) != expected[kind][key]]
         assert actual[kind].keys() == expected[kind].keys(), kind
-        assert not moved, f"{kind} moved at {moved}"
+        # assemble_instance hashes V and Y, whose bits come from the BLAS kernel.
+        platform = f"; {blas_note()}" if kind == "assemble_instance" else ""
+        assert not moved, f"{kind} moved at {moved}{platform}"
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(f"usage: {sys.argv[0]} --record")
-    PINS.write_text(json.dumps(compute(), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {PINS}")
+    record(PINS, compute())
