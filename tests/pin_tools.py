@@ -31,13 +31,12 @@ def blas_core() -> str | None:
     """
     import numpy
 
-    root = Path(numpy.__file__).parent
-    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+    for path in sorted(Path(numpy.__file__).parent.parent.glob("numpy.libs/*openblas*")):
         try:
             corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
         return corename().decode()
     return None
 
