@@ -428,8 +428,8 @@ def test_golden_output(golden):
     result = run_subprocess(args)
     assert result.returncode == 0, result.stderr.decode()
     # omf prints defects of V and Y, whose bits come from the BLAS kernel.
-    platform = blas_note() if name == "omf" else ""
-    assert result.stdout == (DATA_DIR / f"{golden}.golden").read_bytes(), platform
+    assert result.stdout == (DATA_DIR / f"{golden}.golden").read_bytes(), (
+        blas_note() if name == "omf" else "")
 
 
 def test_golden_outputs_stable_across_runs():

@@ -133,8 +133,8 @@ def test_pattern_law_matches_its_pins():
         moved = [key for key in expected[kind] if actual[kind].get(key) != expected[kind][key]]
         assert actual[kind].keys() == expected[kind].keys(), kind
         # assemble_instance hashes V and Y, whose bits come from the BLAS kernel.
-        platform = f"; {blas_note()}" if kind == "assemble_instance" else ""
-        assert not moved, f"{kind} moved at {moved}{platform}"
+        assert not moved, f"{kind} moved at {moved}" + (
+            f"; {blas_note()}" if kind == "assemble_instance" else "")
 
 
 if __name__ == "__main__":
