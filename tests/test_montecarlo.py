@@ -140,8 +140,8 @@ def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
 @pytest.mark.parametrize(
     "n, theta, counts",
     [(1, 0.3, (1023, 1024, 1025)), (3, 0.5, (1023, 1024, 1025)),
-     (20, 0.3, (408, 409, 410, 1025)), (2**13 + 1, 0.5, (2, 3)),
-     (2 * 2**13 + 5, 0.01, (2, 3))],
+     (20, 0.3, (408, 409, 410, 1025)), (40, 0.3, (818, 819, 820)), (2**13 + 1, 0.5, (2, 3)),
+     (2 * 2**13 + 5, 0.01, (2, 3)), (2 * 2**15 + 5, 0.01, (2, 3))],
 )
 @pytest.mark.parametrize("seed", [0, 7, _TOP_SEED])
 def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, seed):
@@ -244,7 +244,7 @@ def _sampler_changed(what: str) -> str:
 @pytest.mark.parametrize(
     "n, theta",
     [(3, 1 / 3), (3, math.nextafter(1 / 3, 0.0)), (3, math.nextafter(1 / 3, 1.0)),
-     (5, 1.0), (3, 2e-18), (2**13, 0.5), (2**13 + 1, 0.1)],
+     (5, 1.0), (3, 2e-18), (2**13, 0.5), (2**13 + 1, 0.1), (2**15, 0.5), (2**15 + 1, 0.1)],
 )
 def test_cover_times_reproduce_numpys_geometric_sampler(n, theta):
     model, trials = SparsityModel(n, theta), 40

@@ -51,12 +51,15 @@ THETAS = (
     1.0, 1 / 3, math.nextafter(1 / 3, 0.0), math.nextafter(1 / 3, 1.0), 0.5,
     2.0**-53, 2.0**-54, 5e-324, 0.05,
 )
-# n, p, trials, theta at the edges of a coverage-trial block: at most 1,024
-# trials and 2^16 indicators.  (10, 13) holds 504 trials a block and (3, 4)
-# 1,024; (300, 300) is past the budget, a trial a block; p = 0 draws nothing.
+# n, p, trials, theta at the edges of a coverage-trial block, under a budget
+# of at most 1,024 trials and 2^16 indicators: (10, 13) holds 504 trials a
+# block and (3, 4) 1,024; (300, 300) is past the budget, a trial a block;
+# p = 0 draws nothing.  Under 2^18 indicators: (100, 134) holds 19 trials a
+# block, and (520, 520) is past the budget.
 BLOCK_EDGES = (
     (10, 13, 503, 0.3), (10, 13, 504, 0.3), (10, 13, 505, 0.3),
     (3, 4, 1023, 0.5), (3, 4, 1024, 0.5), (300, 300, 3, 0.02), (2, 0, 1025, 0.5),
+    (100, 134, 18, 0.05), (100, 134, 19, 0.05), (100, 134, 20, 0.05), (520, 520, 2, 0.0125),
 )
 # n, p, trials, theta whose last instance block is partly filled: (50, 40)
 # holds 7 instances a block and (20, 30) 32.
