@@ -33,6 +33,15 @@ geometric sampler does (_geometric_transform).  fill draws each row of a
 stacked buffer from the next stream, and is the one place a row is paired
 with its stream.
 
+This is also the one place a sampled call's blocks are sized.  A block of
+trials stacks one row per trial, at most _BLOCK = 1,024 rows and
+_BLOCK_BYTES = 2^18 bytes (256 KiB), and at least one row, so a row past
+the budget is a block of its own (block_rows); blocks draws a call's
+trials through one such buffer.  A cover time's row holds at most 2^15
+variates, the budget's worth of doubles, and a longer trial is drawn in
+chunks of that width (chunked_max).  Streams are per trial, so block
+sizes move memory and speed, never a value.
+
 This is the only module that knows how numpy draws.  It copies four numpy
 details, each of which numpy's stream policy (NEP 19) lets change between
 releases, and the tests pin on the installed numpy only:
@@ -84,9 +93,12 @@ _MIX_MULT_L = np.array(0xCA01F9DD, np.uint64)
 _MIX_MULT_R = np.array(0x4973F715, np.uint64)
 _XSHIFT = np.array(16, np.uint64)
 
-# Trial keys are hashed this many indices at a time, so memory stays flat
-# in the trial count.
+# Trial keys are hashed, and trials stacked, at most this many at a time,
+# so memory stays flat in the trial count.
 _BLOCK = 1024
+
+# Most bytes in one block of stacked draws.
+_BLOCK_BYTES = 2**18
 
 # numpy's geometric sampler clips a draw at or past 2^63 to the int64 maximum.
 _CLIP_AT = 2.0**63
@@ -154,6 +166,50 @@ def fill(out: np.ndarray, streams: Iterable[np.random.Generator], draw) -> np.nd
     for row, stream in zip(out, streams):
         draw(stream, out=row)
     return out
+
+
+def block_rows(row_bytes: int, count: int = _BLOCK) -> int:
+    """How many trials of row_bytes bytes each one block of count trials stacks.
+
+    At most _BLOCK rows, _BLOCK_BYTES bytes and count rows, and at least one
+    row: a row past the budget is a block of its own.
+    """
+    return max(1, min(_BLOCK, _BLOCK_BYTES // max(1, row_bytes), count))
+
+
+def blocks(count: int, streams, draw, dtype, *shape: int) -> Iterator[np.ndarray]:
+    """count rows of shape and dtype, filled from the next count streams, a block at a time.
+
+    Each block is fill's view of one buffer of block_rows rows, so a yielded
+    block is valid only until the next one is yielded, and the stream after
+    the last row is left at its start.
+    """
+    rows = block_rows(np.dtype(dtype).itemsize * math.prod(shape), count)
+    buffer = np.empty((rows, *shape), dtype)
+    for start in range(0, count, rows):
+        yield fill(buffer[:count - start], streams, draw)
+
+
+def chunked_max(draw, n: int):
+    """A draw of n doubles into a row of at most _BLOCK_BYTES, and the row's width.
+
+    draw is a Generator method that fills and returns out.  A row of n doubles
+    within the budget is drawn whole, by draw itself.  Past it, the row is
+    the budget's worth of doubles wide: the first chunk is drawn into the
+    row, and each later one beside it and folded in under a running max, so
+    the row's largest is the largest of all n, drawn from the same stream
+    positions.
+    """
+    width = min(n, _BLOCK_BYTES // 8)
+    chunk = np.empty(width)
+
+    def chunked(stream: np.random.Generator, out: np.ndarray) -> None:
+        draw(stream, out=out)
+        for done in range(width, n, width):
+            head = out[:n - done]
+            np.maximum(head, draw(stream, out=chunk[:n - done]), out=head)
+
+    return (draw if n == width else chunked), width
 
 
 def _geometric_transform(theta: float):

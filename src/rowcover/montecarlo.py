@@ -20,11 +20,12 @@ A cover time is the largest of n geometric(theta) draws.  It is computed
 from the variates numpy's Generator.geometric would draw from the same
 stream positions, by mapping only each trial's largest variate through
 numpy's non-decreasing transform (_streams._geometric_transform).  Trials
-are reduced one numpy max per block of at most 2^13 variates, a trial past
-2^13 rows chunk by chunk, so a call holds at most one block.  Coverage
-trials are drawn the same way, into a stacked block of at most 2^16
-indicators, and counted one reduction per block (_covered, which counts
-the OMF experiment's instances too).
+are drawn into stacked blocks and reduced one numpy max per block, a trial
+too long for one row chunk by chunk (_streams.chunked_max), so a call holds
+at most one block and one chunk.  Coverage trials are drawn the same way,
+a pattern a row, and counted one reduction per block (_covered, which
+counts the OMF experiment's instances too).  _streams sizes every block
+and names the budget.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
@@ -61,12 +62,6 @@ __all__ = [
 # Two-sided 95% standard-normal quantile, pinned so intervals are
 # bit-reproducible without a scipy dependency.
 Z95 = 1.959963984540054
-
-# Most bytes in one block of trials: 2^13 cover-time variates, or 2^16
-# coverage indicators.  A cover time past 2^13 variates is drawn in chunks
-# of that size.
-_BLOCK_BYTES = 2**16
-_COVER_BLOCK_CELLS = _BLOCK_BYTES // 8
 
 # Most points phase_sweep may take, each one a full estimate; a wider range
 # is refused rather than left running for hours.
@@ -129,7 +124,7 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
 
     Row i is first covered at a geometric(theta) column, independently of
     the other rows, so the cover time is the maximum of n geometric draws,
-    sampled in O(n) time and O(min(n, 2^13)) memory.  It equals, and leaves
+    sampled in O(n) time and O(min(n, 2^15)) memory.  It equals, and leaves
     the stream where it leaves it, stream.geometric(theta, n).max(): the n
     variates numpy's sampler would draw (standard exponentials below
     theta = 1/3, uniforms from it on) are drawn, and only their largest is
@@ -150,35 +145,17 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
 
 def _cover_times(model: SparsityModel, streams, count: int) -> np.ndarray:
     # The cover times of the next `count` streams, in order.  Each trial fills
-    # one row of the block with its n variates; one max per block then gives
-    # every trial's largest variate, and the map makes it a cover time.
+    # one row of a block with its n variates, or their running max past one
+    # row's width; one max per block then gives every trial's largest
+    # variate, and the map makes it a cover time.
     draw, cover_times = _streams._geometric_transform(model.theta)
-    n = model.n
-    width = min(n, _COVER_BLOCK_CELLS)
-    if n > width:  # one trial a block: the rest of its row a chunk at a time, under a running max
-        chunk, draw_chunk = np.empty(width), draw
-
-        def draw(stream: np.random.Generator, out: np.ndarray) -> None:
-            draw_chunk(stream, out=out)
-            for done in range(width, n, width):
-                head, part = out[:n - done], chunk[:n - done]
-                draw_chunk(stream, out=part)
-                np.maximum(head, part, out=head)
-
-    block = _trial_block(count, np.float64, width)
+    draw, width = _streams.chunked_max(draw, model.n)
     values = np.empty(count, dtype=np.int64)
-    for start in range(0, count, len(block)):
-        used = _streams.fill(block[:count - start], streams, draw)
-        values[start:start + len(used)] = cover_times(used.max(axis=1))
+    done = 0
+    for block in _streams.blocks(count, streams, draw, np.float64, width):
+        values[done:done + len(block)] = cover_times(block.max(axis=1))
+        done += len(block)
     return values
-
-
-def _trial_block(count: int, dtype, *shape: int) -> np.ndarray:
-    # A buffer for the next block of `count` trials, a row of `shape` each: at
-    # most _streams._BLOCK rows and _BLOCK_BYTES bytes, and at least one row.
-    row_bytes = np.dtype(dtype).itemsize * math.prod(shape)
-    rows = max(1, min(_streams._BLOCK, _BLOCK_BYTES // max(1, row_bytes), count))
-    return np.empty((rows, *shape), dtype)
 
 
 def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndarray:
@@ -256,7 +233,7 @@ def estimate_coverage_probability(
 
     Each trial draws its whole n x p pattern, so an n x p past the largest
     array numpy can allocate raises DomainError.  Trials are drawn into a
-    stacked block of at most 1,024 patterns and 2^16 indicators (a larger
+    stacked block of at most 1,024 patterns and 2^18 indicators (a larger
     pattern is a block of its own) and counted one reduction per block.
     """
     _checked_model(model)
@@ -265,11 +242,9 @@ def estimate_coverage_probability(
     seed = _streams.checked_seed(seed)
     n = model.n
     _streams._check_draw_size("an n x p", n, p)
-    draw, block = _streams.pattern_draw(model.theta), _trial_block(trials, bool, n, p)
     streams = _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials)
-    hits = sum(_covered(_streams.fill(block[:trials - start], streams, draw))
-               for start in range(0, trials, len(block)))
-    return _proportion_estimate(hits, trials, seed)
+    patterns = _streams.blocks(trials, streams, _streams.pattern_draw(model.theta), bool, n, p)
+    return _proportion_estimate(sum(map(_covered, patterns)), trials, seed)
 
 
 def phase_sweep(

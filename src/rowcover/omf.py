@@ -17,8 +17,9 @@ checked.
 Instances are built a block at a time.  A block's streams (seed,
 ORTHOGONAL), (seed, PATTERN) and (seed, VALUES) come from one
 _streams.spawn_streams call, and _streams.fill draws each instance's
-Gaussians, pattern and values into stacked buffers of at most 2^15
-doubles a block; how numpy draws them is _streams' concern.  One stacked
+Gaussians, pattern and values into stacked buffers, as many instances a
+block as _streams.block_rows allows for their n x n + n x p doubles; how
+numpy draws them, and the budget, are _streams' concern.  One stacked
 QR with its sign fix gives the block's V, one np.where its X and one
 stacked matmul its Y.  A single instance is a block of one, so
 assemble_instance, random_orthogonal and sample_sparse_matrix return the
@@ -59,10 +60,6 @@ __all__ = [
 
 _ORTHOGONALITY_TOL = 1e-10
 _RECONSTRUCTION_RTOL = 1e-8
-
-# Most doubles in one block's stacked draws: n x n Gaussians and n x p values
-# per instance.  A larger instance is a block of its own.
-_BLOCK_CELLS = 2**15
 
 # The streams of one instance, in the order a block draws them.
 _FACTOR_TAGS = (_streams.ORTHOGONAL, _streams.PATTERN, _streams.VALUES)
@@ -212,7 +209,7 @@ def _instance_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The stacked V, X and Y = V X of the instances (model, p, seed), a block at a time."""
     n = model.n
-    size = max(1, min(_streams._BLOCK, _BLOCK_CELLS // (n * n + n * p)))
+    size = _streams.block_rows(8 * (n * n + n * p))  # the n x n Gaussians and n x p values
     seeds = iter(seeds)
     while block := list(islice(seeds, size)):
         streams = _streams.spawn_streams(block, _FACTOR_TAGS)

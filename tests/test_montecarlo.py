@@ -133,10 +133,12 @@ def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
     return MonteCarloEstimate(mean, std_error, mean - half, mean + half, values.size, seed)
 
 
-# The estimator reduces 1,024 trials per block at n = 1 and 3, 409 at n = 20
-# and one at n = 2^13 + 1; the counts sit at, and one either side of, a
-# block edge, and 1,025 also crosses _streams' 1,024-key block.  A trial
-# at n = 2 * 2^13 + 5 draws its variates in three chunks.
+# The estimator reduces 1,024 trials per block at n = 1, 3 and 20, 819 at
+# n = 40 and three at n = 2^13 + 1; the counts sit at, and one either side
+# of, a block edge, and 1,025 also crosses _streams' 1,024-key block.  A
+# trial at n = 2 * 2^13 + 5 fills one row, and one at n = 2 * 2^15 + 5
+# draws its variates in three chunks of 2^15.  The counts at n = 20 are the
+# edges of a 2^16-byte block.
 @pytest.mark.parametrize(
     "n, theta, counts",
     [(1, 0.3, (1023, 1024, 1025)), (3, 0.5, (1023, 1024, 1025)),
@@ -156,9 +158,10 @@ def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, see
 
 
 def test_cover_time_memory_is_flat_in_n():
-    # A million rows are 8 MB of variates a trial, drawn 2^13 at a time.  The
-    # first call, untraced, loads numpy.random, about 1 MB of its own.  At
-    # n = 2^30, 2^17 chunks, nothing may be set up per chunk before a draw.
+    # A million rows are 8 MB of variates a trial, drawn 2^15 at a time: a
+    # 256 KiB row and a 256 KiB chunk.  The first call, untraced, loads
+    # numpy.random, about 1 MB of its own.  At n = 2^30, 2^15 chunks, nothing
+    # may be set up per chunk before a draw.
     estimate_expected_cover_time(SparsityModel(3, 0.5), 2, 0)
     for call in (lambda: estimate_expected_cover_time(SparsityModel(10**6, 0.5), 2, 0),
                  lambda: montecarlo._cover_times(SparsityModel(2**30, 0.5), iter(()), 0)):
@@ -240,7 +243,8 @@ def _sampler_changed(what: str) -> str:
 
 # numpy's branch edge at theta = 1/3 and the doubles either side of it, the
 # dense model, an inversion whose draws come within a few times of the
-# int64 clip, and a trial at, and one past, one chunk of variates.
+# int64 clip, and a trial at, and one past, one chunk of 2^15 variates and
+# the 2^13 of a 2^16-byte budget.
 @pytest.mark.parametrize(
     "n, theta",
     [(3, 1 / 3), (3, math.nextafter(1 / 3, 0.0)), (3, math.nextafter(1 / 3, 1.0)),

@@ -4,8 +4,9 @@ trial_streams, trial_seeds and spawn_streams must reproduce spawn_generator
 and the SeedSequence sub-seeds bit for bit: same Philox keys, same
 sub-seeds, same draws.  These compare them against numpy's SeedSequence
 directly and against trial-by-trial rebuilds of the estimators that use
-them.  fill must leave the stream after its last row untouched, and no
-other module may reach into how numpy draws.
+them.  fill and blocks must leave the stream after their last row
+untouched, and no other module may reach into how numpy draws or how
+sampled blocks are sized.
 """
 
 from __future__ import annotations
@@ -131,11 +132,41 @@ def test_fill_leaves_the_stream_after_its_last_row():
     assert draws(next(streams)) == draws(fresh[2])
 
 
+def test_block_rows_caps_rows_and_bytes():
+    # At most 1,024 rows and 2^18 bytes a block, at least one row, and no
+    # more rows than trials.
+    assert [_streams.block_rows(row_bytes) for row_bytes in (1, 2**8, 2**8 + 1)] == [
+        1024, 1024, 1020]
+    assert [_streams.block_rows(row_bytes) for row_bytes in (2**17, 2**18, 2**18 + 1)] == [
+        2, 1, 1]
+    assert _streams.block_rows(0) == 1024  # p = 0: a pattern of no indicators
+    assert [_streams.block_rows(13_400, count) for count in (0, 1, 18, 19, 20)] == [
+        1, 1, 18, 19, 19]
+    assert _streams.block_rows(0, 7) == 7
+
+
+def test_blocks_draw_what_one_fill_draws():
+    # Rows of 2^17 bytes stack two a block: five rows are blocks of 2, 2
+    # and 1 from one reused buffer, and the sixth stream is left at its start.
+    seed, tag, count, width = 9, _streams.VALUES, 5, 2**14
+    streams = _streams.trial_streams(seed, tag, count + 1)
+    normal = np.random.Generator.standard_normal
+    drawn = [block.copy() for block in _streams.blocks(count, streams, normal, np.float64, width)]
+    assert [len(block) for block in drawn] == [2, 2, 1]
+    filled = _streams.fill(np.empty((count, width)), _streams.trial_streams(seed, tag, count),
+                           normal)
+    assert np.array_equal(np.concatenate(drawn), filled)
+    assert draws(next(streams)) == draws(_streams.spawn_generator(seed, tag, count))
+    assert list(_streams.blocks(0, iter(()), normal, np.float64, width)) == []
+
+
 # How numpy draws is _streams' concern alone: these are the names of its
 # copies of numpy's hash, Philox state, double and sampler details.
 _NUMPY_STREAM_DETAILS = {
     "bit_generator", "random_raw", "raw_limit", "SeedSequence", "Philox", "standard_exponential",
 }
+# So is the size of a sampled block: these are its row cap and byte budget.
+_BLOCK_SIZING = {"_BLOCK", "_BLOCK_BYTES"}
 
 
 def test_numpy_stream_details_stay_in_streams():
@@ -148,7 +179,7 @@ def test_numpy_stream_details_stay_in_streams():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
-                if name in _NUMPY_STREAM_DETAILS:
+                if name in _NUMPY_STREAM_DETAILS | _BLOCK_SIZING:
                     named.append(f"{path.name}:{node.lineno} {name}")
     assert named == []
 
