@@ -414,8 +414,8 @@ def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Genera
     They come from keyed_streams, so a yielded stream is valid only until
     the next one is yielded.
     """
-    blocks = _trial_keys(seed, tag, 0, trials)
-    return keyed_streams(chain.from_iterable(zip(key0, key1) for key0, key1 in blocks))
+    keys = _trial_keys(seed, tag, 0, trials)
+    return keyed_streams(chain.from_iterable(zip(key0, key1) for key0, key1 in keys))
 
 
 def trial_seeds(seed: int, tag: int, start: int, stop: int) -> Iterator[int]:
