@@ -142,8 +142,8 @@ def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
 @pytest.mark.parametrize(
     "n, theta, counts",
     [(1, 0.3, (1023, 1024, 1025)), (3, 0.5, (1023, 1024, 1025)),
-     (20, 0.3, (408, 409, 410, 1025)), (40, 0.3, (818, 819, 820)), (2**13 + 1, 0.5, (2, 3)),
-     (2 * 2**13 + 5, 0.01, (2, 3)), (2 * 2**15 + 5, 0.01, (2, 3))],
+     (20, 0.3, (408, 409, 410, 1025)), (2**13 + 1, 0.5, (2, 3)),
+     (2 * 2**13 + 5, 0.01, (2, 3)), (40, 0.3, (818, 819, 820)), (2 * 2**15 + 5, 0.01, (2, 3))],
 )
 @pytest.mark.parametrize("seed", [0, 7, _TOP_SEED])
 def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, seed):
