@@ -12,8 +12,12 @@ are pinned by repr(), or by the exception's type and message, at:
 - about 300 log-uniform points, n <= 20,000 and theta in [1e-7, 0.999],
   held in the pin file itself rather than drawn at test time;
 - n = 10^8 + 1 in both regimes, past the term ceiling;
+- theta = 5e-324, 1e-310 and 1e-308, where E[T] and the phase sum
+  overflow a double;
 - the tail sum's rounding guard: a tol where the first horizon falls one
-  term short.
+  term short;
+- E[T]'s refusal order: a tol that needs too many tail terms, and a
+  negative tol, also at an n past the term ceiling.
 
 Every key is filed under "libm": the values go through the platform's
 log1p, log, exp and expm1, or (H_n and n * H_n, which use only division
@@ -57,8 +61,12 @@ EDGE_POINTS = tuple(
     (n, theta) for n in (1, 2, 3, 100, 2000) for theta in (1.0, 0.5, 0.1, 1e-3, 1e-6, *EM_EDGE)
 )
 PAST_CEILING = ((10**8 + 1, 0.5), (10**8 + 1, 1e-6))
+OVERFLOW_POINTS = ((1, 5e-324), (2, 1e-310), (4, 1e-308))
 # n, theta, tol where the tail sum's first horizon leaves a tail just above tol.
 HORIZON_GUARD = (1900, 0.09670529158054293, 4.323636989642157e-91)
+# n, theta, tol refused for too many tail terms, and for the tol itself,
+# which is checked before n is.
+TOL_REFUSALS = ((2, 1e-9, 1e-30), (3, 0.5, -1.0), (10**8 + 1, 0.5, -1.0))
 RANDOM_POINTS = 300
 
 
@@ -80,7 +88,7 @@ def _draw_points() -> list[list]:
 
 def compute(points: list[list]) -> dict:
     models = dict.fromkeys(
-        [*BENCH_EXACT_POINTS, *EDGE_POINTS, *PAST_CEILING, *map(tuple, points)]
+        [*BENCH_EXACT_POINTS, *EDGE_POINTS, *PAST_CEILING, *OVERFLOW_POINTS, *map(tuple, points)]
     )
     pins: dict[str, dict[str, str]] = {}
     for n, theta in models:
@@ -94,9 +102,9 @@ def compute(points: list[list]) -> dict:
         for name, function in (("harmonic", harmonic),
                                ("classic_harmonic_sum", classic_harmonic_sum)):
             pins.setdefault(name, {})[str(n)] = _pinned(lambda: function(n))
-    n, theta, tol = HORIZON_GUARD
-    pins["exact_expected_cover_time"][f"{n} {theta!r} tol={tol!r}"] = _pinned(
-        lambda: exact_expected_cover_time(SparsityModel(n, theta), tol))
+    for n, theta, tol in (HORIZON_GUARD, *TOL_REFUSALS):
+        pins["exact_expected_cover_time"][f"{n} {theta!r} tol={tol!r}"] = _pinned(
+            lambda: exact_expected_cover_time(SparsityModel(n, theta), tol))
     return {"points": points, "libm": pins}
 
 

@@ -545,6 +545,16 @@ def test_exact_expectation_sums_each_reference_once(monkeypatch, theta):
                      "phase_sum_expectation": 1}
 
 
+@pytest.mark.parametrize("theta", [0.5, 1e-6])
+@pytest.mark.parametrize("function", [exact_expected_cover_time, bound_report])
+def test_past_the_term_ceiling_no_sum_is_entered(monkeypatch, function, theta):
+    # E[T] refuses the n itself, before H_n, n * H_n or the phase sum starts.
+    calls = _count_sums(monkeypatch)
+    with pytest.raises(DomainError, match="needs more than 100000000 terms"):
+        function(SparsityModel(10**8 + 1, theta))
+    assert calls == {"harmonic": 0, "classic_harmonic_sum": 0, "phase_sum_expectation": 0}
+
+
 def test_bound_report_refuses_non_finite_fields():
     good = bound_report(SparsityModel(3, 0.5))
     for field in ("theorem_bound", "phase_sum", "exact_expectation", "small_theta_bound"):

@@ -341,6 +341,35 @@ def test_simulate_refuses_before_drawing_any_trial(capsys, monkeypatch):
     assert stderr.startswith("rowcover: ") and "10000000" in stderr
 
 
+def test_simulate_computes_no_reference_sum(capsys, monkeypatch):
+    # simulate prints E[T] alone, so neither the phase sum nor n * H_n runs.
+    from rowcover import bounds, coverage
+
+    def no_sum(*args):
+        raise AssertionError("simulate computed a reference sum it does not print")
+
+    for module in (coverage, bounds):
+        for name in ("phase_sum_expectation", "classic_harmonic_sum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_sum)
+    code, stdout, _ = run_capture(
+        ["simulate", "--n", "3", "--theta", "0.5", "--trials", "100"], capsys
+    )
+    assert code == 0
+    assert parse_json_lines(stdout)[0]["results"]["analytic"] == 3.14285714277
+
+
+def test_simulate_refuses_an_overflowing_cover_time_by_the_clip_check():
+    # E[T] overflows a double at theta = 5e-324; every geometric draw there
+    # clips, and that refusal is the one error line, with no numpy warning.
+    result = run_subprocess(["simulate", "--n", "1", "--theta", "5e-324", "--trials", "10"])
+    stderr = result.stderr.decode()
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert stderr.count("\n") == 1
+    assert "clips a geometric draw" in stderr and "Warning" not in stderr
+
+
 def test_simulate_refuses_a_trial_count_numpy_cannot_allocate(capsys):
     # 2^64 cover times, one int64 each, are past numpy's largest array: one
     # error line and exit 1, not a traceback.

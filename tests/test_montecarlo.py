@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,20 @@ def test_sample_cover_time_refuses_a_clipped_draw():
         sample_cover_time(SparsityModel(3, 1e-300), stream)
     with pytest.raises(DomainError, match="int64"):
         estimate_expected_cover_time(SparsityModel(3, 1e-300), 5, 0)
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-310])
+def test_clip_refusal_comes_without_an_overflow_warning(theta):
+    # At a subnormal theta the inverted map divides by a subnormal
+    # log1p(-theta), and the quotient overflows to inf.  That is a clipped
+    # draw, refused as one, with no numpy warning raised first.
+    model = SparsityModel(1, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="clips a geometric draw"):
+            sample_cover_time(model, _streams.spawn_generator(0, _streams.COVER_TRIAL, 0))
+        with pytest.raises(DomainError, match="clips a geometric draw"):
+            estimate_expected_cover_time(model, 10, 0)
 
 
 def test_estimator_refuses_a_clipped_draw_past_its_first_block():

@@ -404,9 +404,11 @@ def _no_draw(*args):
      (2**32, 0.5, 1, "an n x n = 4294967296 x 4294967296 draw .* numpy can allocate")],
 )
 def test_coverage_experiment_refuses_as_assemble_instance_does(n, theta, p, message, monkeypatch):
-    # The same DomainError, with the same text, and before any stream is keyed.
+    # The same DomainError, with the same text, and before any sub-seed is
+    # hashed or any stream is keyed.
     with pytest.raises(DomainError, match=message) as assembled:
         assemble_instance(n, p, theta, 3)
+    monkeypatch.setattr(_streams, "_trial_keys", _no_draw)
     monkeypatch.setattr(_streams, "spawn_streams", _no_draw)
     with pytest.raises(DomainError, match=message) as experimented:
         coverage_experiment(n, theta, p, 4, 3)
