@@ -233,7 +233,9 @@ def _geometric_transform(theta: float):
         scale = math.log1p(-theta)
 
         def inverted(tops: np.ndarray) -> np.ndarray:
-            draws = np.ceil(-tops / scale)
+            # A subnormal scale overflows the quotient to inf: a clipped draw.
+            with np.errstate(over="ignore"):
+                draws = np.ceil(-tops / scale)
             if draws.max() >= _CLIP_AT:
                 raise DomainError(f"theta = {theta!r} clips a geometric draw at the int64 maximum")
             return draws.astype(np.int64)

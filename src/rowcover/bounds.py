@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coverage import (
-    _DEFAULT_TOL,
     _MAX_TAIL_TERMS,
     SparsityModel,
     _checked_model,
@@ -213,10 +212,9 @@ def bound_report(model: SparsityModel) -> BoundReport:
     digamma bound reuses the H_n that E[T]'s closed form sums, so each O(n)
     sum runs at most once.
     """
-    degenerate = _checked_model(model).theta == 1.0
-    phase = phase_sum_expectation(model)  # refuses an n past 10^8 first
-    exact, _, h_n = _expected_cover_time(model, _DEFAULT_TOL)
-    if degenerate:
+    exact, _, h_n = _expected_cover_time(model)
+    phase = phase_sum_expectation(model)
+    if model.theta == 1.0:
         dig = approx = small = None
     else:
         dig = _digamma_bound(model.n, harmonic(model.n) if h_n is None else h_n, model.log_q)

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 from .bounds import bound_report
 from .coverage import (
     SparsityModel,
+    _expected_cover_time,
     coverage_probability,
     coverage_threshold,
     exact_expected_cover_time,
@@ -117,9 +118,11 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
 
     model = SparsityModel(args.n, args.theta)
     # The analytic value comes first: it refuses what it cannot compute
-    # before any trial is drawn.
+    # before any trial is drawn.  E[T] is computed without the reference
+    # sums, which simulate does not print.  Where it overflows a double, the
+    # geometric draws clip at the int64 maximum, and the estimate refuses them.
     if args.p is None:
-        analytic = exact_expected_cover_time(model, args.tol).exact_expectation
+        analytic = _expected_cover_time(model, args.tol)[0]
         estimate = estimate_expected_cover_time(model, args.trials, args.seed)
         parameters = _fields(args, ("n", "theta", "trials", "seed", "tol"))
     else:

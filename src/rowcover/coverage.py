@@ -506,24 +506,31 @@ def exact_expected_cover_time(model: SparsityModel, tol: float = _DEFAULT_TOL) -
 
     Otherwise the tail sum is taken directly.  Its tail past horizon T is
     at most n (1-theta)^(T+1) / theta, so T is grown until that drops to
-    tol, and the bound achieved is reported.  A tol that would need more
-    than 10^8 terms raises DomainError.
+    tol, and the bound achieved is reported.
+
+    DomainError is raised, before anything is summed, for anything but a
+    SparsityModel, then for a tol that is not positive and finite, then for
+    an n past 10^8; then for a tol that would need more than 10^8 tail
+    terms, and last for a phase sum that overflows a double.
     """
+    value, bound, _ = _expected_cover_time(model, tol)
+    phase, classic = phase_sum_expectation(model), classic_harmonic_sum(model.n)
+    return CoverTimeSummary(value, phase, classic, bound)
+
+
+def _expected_cover_time(
+    model: SparsityModel, tol: float = _DEFAULT_TOL
+) -> tuple[float, float, float | None]:
+    # E[T] and its truncation_error_bound, as exact_expected_cover_time
+    # documents, and the H_n that the closed form computed (None otherwise),
+    # so that bound_report need not sum it again.  Every refusal of E[T] is
+    # made here, in the documented order; where E[T] overflows, the value
+    # returned is inf.
     _checked_model(model)
     tol = checked_real(tol, "tol")
     if not tol > 0.0 or not math.isfinite(tol):
         raise DomainError(f"tol must be a positive finite float, got {tol!r}")
-    phase = phase_sum_expectation(model)
-    classic = classic_harmonic_sum(model.n)
-    value, bound, _ = _expected_cover_time(model, tol)
-    return CoverTimeSummary(value, phase, classic, bound)
-
-
-def _expected_cover_time(model: SparsityModel, tol: float) -> tuple[float, float, float | None]:
-    # E[T] and its truncation_error_bound, as exact_expected_cover_time
-    # documents, and the H_n that the closed form computed (None otherwise),
-    # so that bound_report need not sum it again.
-    n, theta = model.n, model.theta
+    n, theta = _checked_term_count(model.n), model.theta
     if theta == 1.0:  # the t = 0 term would be exp(0 * -inf) = nan
         return 1.0, 0.0, None
 

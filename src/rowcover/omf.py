@@ -207,8 +207,14 @@ def _sparse_factors(
 def _instance_blocks(
     model: SparsityModel, p: int, seeds: Iterable[int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The stacked V, X and Y = V X of the instances (model, p, seed), a block at a time."""
+    """The stacked V, X and Y = V X of the instances (model, p, seed), a block at a time.
+
+    An n x n or n x p draw past the largest array numpy can allocate
+    raises DomainError, before the first seed is taken.
+    """
     n = model.n
+    _streams._check_draw_size("an n x n", n, n)
+    _streams._check_draw_size("an n x p", n, p)
     size = _streams.block_rows(8 * (n * n + n * p))  # the n x n Gaussians and n x p values
     seeds = iter(seeds)
     while block := list(islice(seeds, size)):
@@ -263,8 +269,6 @@ def assemble_instance(n: int, p: int, theta: float, seed: int) -> OmfInstance:
     model = SparsityModel(n, theta)
     p = checked_int(p, "p", 1)
     seed = _streams.checked_seed(seed)
-    _streams._check_draw_size("an n x n", model.n, model.n)
-    _streams._check_draw_size("an n x p", model.n, p)
     v, x, y = next(_instance_blocks(model, p, [seed]))
     return OmfInstance(n=model.n, p=p, theta=model.theta, v=v[0], x=x[0], y=y[0], seed=seed)
 
@@ -309,8 +313,6 @@ def coverage_experiment(
     seed = _streams.checked_seed(seed)
     model = SparsityModel(n, theta)
     p = checked_int(p, "p", 1)
-    _streams._check_draw_size("an n x n", model.n, model.n)
-    _streams._check_draw_size("an n x p", model.n, p)
     sub_seeds = _streams.trial_seeds(seed, _streams.INSTANCE, 0, trials)
     hits = 0
     for v, x, y in _instance_blocks(model, p, sub_seeds):
