@@ -139,12 +139,19 @@ def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
 # of, a block edge, and 1,025 also crosses _streams' 1,024-key block.  A
 # trial at n = 2 * 2^13 + 5 fills one row, and one at n = 2 * 2^15 + 5
 # draws its variates in three chunks of 2^15.  The counts at n = 20 are the
-# edges of a 2^16-byte block.
+# edges of a 2^16-byte block.  The uniform-branch cases that follow sit
+# either side of theta = 1/3, of n = 16 and n = 20, and of 128 trials, the
+# edges of where small trials may take vectorized Philox words instead of
+# re-keyed generators.
 @pytest.mark.parametrize(
     "n, theta, counts",
     [(1, 0.3, (1023, 1024, 1025)), (3, 0.5, (1023, 1024, 1025)),
      (20, 0.3, (408, 409, 410, 1025)), (2**13 + 1, 0.5, (2, 3)),
-     (2 * 2**13 + 5, 0.01, (2, 3)), (40, 0.3, (818, 819, 820)), (2 * 2**15 + 5, 0.01, (2, 3))],
+     (2 * 2**13 + 5, 0.01, (2, 3)), (40, 0.3, (818, 819, 820)), (2 * 2**15 + 5, 0.01, (2, 3)),
+     (4, 0.5, (1023, 1024, 1025)), (5, 1 / 3, (1023, 1024, 1025)),
+     (16, 0.9, (1023, 1024, 1025)), (17, 0.9, (1023, 1024, 1025)),
+     (2, 1.0, (1023, 1024, 1025)), (20, 0.9, (1023, 1024, 1025)),
+     (21, 0.9, (1023, 1024, 1025)), (8, 0.5, (127, 128, 129))],
 )
 @pytest.mark.parametrize("seed", [0, 7, _TOP_SEED])
 def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, seed):
