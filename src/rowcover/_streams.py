@@ -33,6 +33,18 @@ geometric sampler does (_geometric_transform).  fill draws each row of a
 stacked buffer from the next stream, and is the one place a row is paired
 with its stream.
 
+A small uniform-branch cover time needs only a few raw words, and a
+re-keyed generator costs more per trial than its draws.  So a call of at
+least _WORDS_FLOOR = 128 trials, each of at most _WORDS_CEILING = 20
+uniforms (theta from 1/3 on), computes every trial's words with Philox
+itself, in numpy array code, one pass per block of keys (_philox_words),
+and keeps each trial's largest (trial_largest_variates).  The words are
+those the re-keyed stream would yield, so the cover times are too.  Past
+20 variates the words' rounds cost more than the native draw they
+replace, and below 128 trials their fixed cost per block is more than
+the re-keying they save; those trials, the exponential branch, and a
+caller's own stream (sample_cover_time) are drawn from generators.
+
 This is also the one place a sampled call's blocks are sized.  A block of
 trials stacks one row per trial, at most _BLOCK = 1,024 rows and
 _BLOCK_BYTES = 2^18 bytes (256 KiB), and at least one row, so a row past
@@ -42,13 +54,17 @@ variates, the budget's worth of doubles, and a longer trial is drawn in
 chunks of that width (chunked_max).  Streams are per trial, so block
 sizes move memory and speed, never a value.
 
-This is the only module that knows how numpy draws.  It copies four numpy
+This is the only module that knows how numpy draws.  It copies five numpy
 details, each of which numpy's stream policy (NEP 19) lets change between
 releases, and the tests pin on the installed numpy only:
 
 - SeedSequence's hash (numpy/random/bit_generator.pyx), in _trial_keys and
   _spawn_keys;
 - Philox's state layout (numpy/random/_philox.pyx), in keyed_streams;
+- Philox4x64-10's rounds (numpy/random/src/philox/philox.h, from
+  Random123) and numpy's counter convention, in _philox and
+  _philox_words: a re-keyed stream's word i is word i mod 4 of the block
+  at counter i // 4 + 1;
 - random()'s double construction, philox_next_double
   (numpy/random/src/philox/philox.h), in raw_limit;
 - the geometric sampler, random_geometric
@@ -92,6 +108,24 @@ _MASK32 = np.array(0xFFFFFFFF, np.uint64)
 _MIX_MULT_L = np.array(0xCA01F9DD, np.uint64)
 _MIX_MULT_R = np.array(0x4973F715, np.uint64)
 _XSHIFT = np.array(16, np.uint64)
+_SHIFT32 = np.array(32, np.uint64)
+
+# Philox4x64-10's round multipliers and key increments (Weyl constants), as
+# Random123 and numpy/random/src/philox/philox.h define them.  The
+# multipliers act on counter words 0 and 2, stacked in that order, so they
+# are a column; their 32-bit limbs are split for the multiply-high, low limb
+# first for the straight products and high limb first for the cross ones.
+_PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Round r of ten is keyed by the key plus r times the Weyl constants, mod 2^64.
+_PHILOX_KEY_STEPS = np.array(
+    [[r * weyl % 2**64 for weyl in _PHILOX_WEYL] for r in range(10)], np.uint64
+)[:, :, None, None]
+_PHILOX_MULT_COLUMN = np.array(_PHILOX_MULT, np.uint64)[:, None, None]
+_PHILOX_LIMBS = np.array(
+    [[m & 0xFFFFFFFF for m in _PHILOX_MULT], [m >> 32 for m in _PHILOX_MULT]], np.uint64
+)[:, :, None, None]
+_PHILOX_CROSS = _PHILOX_LIMBS[::-1].copy()
 
 # Trial keys are hashed, and trials stacked, at most this many at a time,
 # so memory stays flat in the trial count.
@@ -107,6 +141,18 @@ _CLIP_AT = 2.0**63
 # constant 0.333333333333333333333333 is this double) and searches a running
 # sum for a uniform from it on.
 _SEARCH_THETA = 1 / 3
+
+# A call of at least _WORDS_FLOOR uniform-branch cover times of at most
+# _WORDS_CEILING variates each takes their largest from vectorized Philox
+# words (_philox_words).  Set from per-call timings at 1,000 trials on one
+# pinned CPU (BENCH_29.json): a re-keyed trial costs about the same at any
+# small n, while the words cost one more Philox block per four variates, and
+# the two cross between n = 28 and 32; at 20 the words are still about 1.4x
+# faster, and 21-24 (one more block) only about as fast.  Below the floor,
+# the rounds' fixed cost of about 160 numpy calls a block of keys is more
+# than the re-keying it saves.
+_WORDS_CEILING = 20
+_WORDS_FLOOR = 128
 
 # numpy refuses, with a bare ValueError, an array of more bytes than this.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
@@ -212,6 +258,19 @@ def chunked_max(draw, n: int):
     return (draw if n == width else chunked), width
 
 
+def largest_variates(streams, count: int, draw, n: int) -> Iterator[np.ndarray]:
+    """Each of the next count streams' largest of n variates drawn by draw, a block at a time.
+
+    draw is a Generator method that fills and returns out.  Each trial fills
+    one row of a block with its n variates, or their running max past one
+    row's width (chunked_max), and one max per block gives every trial's
+    largest, in order.  The stream after the last is left at its start.
+    """
+    draw, width = chunked_max(draw, n)
+    for block in blocks(count, streams, draw, np.float64, width):
+        yield block.max(axis=1)
+
+
 def _geometric_transform(theta: float):
     """numpy's geometric(theta) sampler as a variate and a map of its largest.
 
@@ -314,22 +373,21 @@ def _absorb(pool: np.ndarray, words, step: int) -> np.ndarray:
     return _mix(pool, _hash(words, _HASH_A[step:step + 5]))
 
 
-def _output_keys(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _output_keys(pool: np.ndarray) -> np.ndarray:
     # generate_state(2, np.uint64) of pools whose four words are the
-    # second-to-last axis: the words hashed, then paired low and high.
+    # second-to-last axis: the words hashed, then paired low and high into
+    # the two key words, which take the place of the four.
     words = _hash(pool, _HASH_B)
-    return words[..., 0, :] | words[..., 1, :] << 32, words[..., 2, :] | words[..., 3, :] << 32
+    return words[..., 0::2, :] | words[..., 1::2, :] << _SHIFT32
 
 
-def _trial_keys(
-    seed: int, tag: int, start: int, stop: int
-) -> Iterator[tuple[list[int], list[int]]]:
+def _trial_keys(seed: int, tag: int, start: int, stop: int) -> Iterator[np.ndarray]:
     """Philox keys of the streams (seed, tag, t) for t in range(start, stop).
 
-    Yields blocks of at most _BLOCK indices in order, each as the lists of
-    first and second key words; (key0[i], key1[i]) for index t equals
+    Yields blocks of at most _BLOCK indices in order, each a (2, K) uint64
+    array of first and second key words; column i, for index t, equals
     SeedSequence(entropy=seed, spawn_key=(tag, t)).generate_state(2,
-    np.uint64), and key0[i] alone is the sub-seed for (seed, tag, t).
+    np.uint64), and its first word alone is the sub-seed for (seed, tag, t).
 
     A 64-bit seed and a one-word tag assemble to the entropy words
     [lo, hi, 0, 0, tag, t], and SeedSequence mixes them in order with hash
@@ -344,13 +402,11 @@ def _trial_keys(
     for low in range(start, stop, _BLOCK):
         high = min(low + _BLOCK, stop)
         index = np.arange(low, min(high, 2**32), dtype=np.uint64)
-        key0, key1 = (key.tolist() for key in _output_keys(_absorb(pool, index, 20)))
+        keys = _output_keys(_absorb(pool, index, 20))
         for t in range(max(low, 2**32), high):
             sequence = np.random.SeedSequence(entropy=seed, spawn_key=(tag, t))
-            first, second = sequence.generate_state(2, np.uint64).tolist()
-            key0.append(first)
-            key1.append(second)
-        yield key0, key1
+            keys = np.column_stack((keys, sequence.generate_state(2, np.uint64)))
+        yield keys
 
 
 def _spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> Iterator[tuple[int, int]]:
@@ -371,8 +427,65 @@ def _spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> Iterator[tuple[int, 
         step = 4 + 3 * src
         pool[dsts] = _mix(pool[dsts], _hash(pool[src], _HASH_A[step:step + 4]))
     tagged = _absorb(pool, np.array(tags, dtype=np.uint64)[:, None, None], 16)
-    key0, key1 = _output_keys(tagged)
-    return zip(key0.ravel().tolist(), key1.ravel().tolist())
+    keys = _output_keys(tagged)
+    return zip(keys[:, 0].ravel().tolist(), keys[:, 1].ravel().tolist())
+
+
+def _mulhilo(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products of Philox's two multipliers.
+
+    words is a (2, ...) uint64 array, counter words 0 and 2, and row j is
+    multiplied by multiplier j.  The high word is built from 32-bit limbs:
+    with w = w1 2^32 + w0 and m = m1 2^32 + m0, neither the carry sum
+    t = w1 m0 + (w0 m0 >> 32) nor u = (t & 2^32 - 1) + w0 m1 overflows, and
+    the high word is w1 m1 + (t >> 32) + (u >> 32).  The low word is the
+    product wrapped mod 2^64.  Both rows share every array operation.
+    """
+    limbs = np.empty((2, *words.shape), np.uint64)
+    np.bitwise_and(words, _MASK32, out=limbs[0])
+    np.right_shift(words, _SHIFT32, out=limbs[1])
+    low_low, high_high = limbs * _PHILOX_LIMBS
+    low_high, carry = limbs * _PHILOX_CROSS
+    low_low >>= _SHIFT32
+    carry += low_low
+    low_high += carry & _MASK32
+    high_high += carry >> _SHIFT32
+    high_high += low_high >> _SHIFT32
+    return high_high, words * _PHILOX_MULT_COLUMN
+
+
+def _philox(counters: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Philox4x64-10's output blocks: (4, B, K) uint64 words from counters and keys.
+
+    counters is a (4, B, 1) or (4, B, K) uint64 array of counter blocks and
+    keys a (2, 1, K) or (2, B, K) array of keys, as numpy's
+    philox4x64_R(10, counter, key) takes them.  A round maps the counter
+    (c0, c1, c2, c3) to (hi(m1 c2) ^ c1 ^ k0, lo(m1 c2), hi(m0 c0) ^ c3 ^ k1,
+    lo(m0 c0)), and the key (k0, k1) gains the Weyl constants before each
+    round after the first.
+    """
+    even, odd = counters[0::2], counters[1::2]
+    for round_keys in keys + _PHILOX_KEY_STEPS:
+        high, low = _mulhilo(even)
+        even, odd = high[::-1] ^ odd ^ round_keys, low[::-1]
+    out = np.empty((4, *even.shape[1:]), np.uint64)
+    out[0::2], out[1::2] = even, odd
+    return out
+
+
+def _philox_words(keys: np.ndarray, n: int) -> np.ndarray:
+    """The first n raw words of the re-keyed streams of a (2, K) array of keys: an (n, K) array.
+
+    A re-keyed stream starts at counter zero with an empty buffer, and
+    numpy's Philox raises the counter before it makes a block, so word i is
+    word i mod 4 of the block at counter i // 4 + 1: column j holds what
+    keyed_streams' generator for key j would return from random_raw(n).
+    """
+    count = -(-n // 4)
+    counters = np.zeros((4, count, 1), np.uint64)
+    counters[0, :, 0] = np.arange(1, count + 1)
+    blocks = _philox(counters, keys[:, None, :])
+    return blocks.transpose(1, 0, 2).reshape(4 * count, -1)[:n]
 
 
 def keyed_streams(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
@@ -417,7 +530,23 @@ def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Genera
     the next one is yielded.
     """
     keys = _trial_keys(seed, tag, 0, trials)
-    return keyed_streams(chain.from_iterable(zip(key0, key1) for key0, key1 in keys))
+    return keyed_streams(chain.from_iterable(zip(*block.tolist()) for block in keys))
+
+
+def trial_largest_variates(seed: int, tag: int, count: int, draw, n: int) -> Iterator[np.ndarray]:
+    """largest_variates of the streams (seed, tag, t) for t = 0 .. count - 1.
+
+    A call of at least _WORDS_FLOOR trials of at most _WORDS_CEILING
+    uniforms each (draw is Generator.random) takes each trial's first n raw
+    words from one vectorized Philox pass per block of keys (_philox_words),
+    and makes the largest the double random() would: (w >> 11) * 2^-53,
+    which never falls as w grows, so it is the largest uniform.  Every other
+    call draws from re-keyed generators.
+    """
+    if draw is np.random.Generator.random and n <= _WORDS_CEILING and count >= _WORDS_FLOOR:
+        words = (_philox_words(keys, n) for keys in _trial_keys(seed, tag, 0, count))
+        return ((block.max(axis=0) >> 11) * 2.0**-53 for block in words)
+    return largest_variates(trial_streams(seed, tag, count), count, draw, n)
 
 
 def trial_seeds(seed: int, tag: int, start: int, stop: int) -> Iterator[int]:
@@ -427,5 +556,5 @@ def trial_seeds(seed: int, tag: int, start: int, stop: int) -> Iterator[int]:
 
         SeedSequence(entropy=seed, spawn_key=(tag, t)).generate_state(1, np.uint64)[0]
     """
-    for key0, _ in _trial_keys(seed, tag, start, stop):
-        yield from key0
+    for keys in _trial_keys(seed, tag, start, stop):
+        yield from keys[0].tolist()

@@ -22,10 +22,13 @@ stream positions, by mapping only each trial's largest variate through
 numpy's non-decreasing transform (_streams._geometric_transform).  Trials
 are drawn into stacked blocks and reduced one numpy max per block, a trial
 too long for one row chunk by chunk (_streams.chunked_max), so a call holds
-at most one block and one chunk.  Coverage trials are drawn the same way,
-a pattern a row, and counted one reduction per block (_covered, which
-counts the OMF experiment's instances too).  _streams sizes every block
-and names the budget.
+at most one block and one chunk.  An estimate of many small uniform-branch
+trials takes each trial's raw words from Philox computed over a block of
+keys at once, the same words its stream would yield, instead of re-keying
+a generator per trial (_streams.trial_largest_variates).  Coverage trials
+are drawn into stacked blocks too, a pattern a row, and counted one
+reduction per block (_covered, which counts the OMF experiment's instances
+too).  _streams sizes every block and names the budget.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -140,21 +144,19 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     # callers that never sample about 2 MB and 10 ms.
     if not isinstance(stream, np.random.Generator):
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
-    return int(_cover_times(model, (stream,), 1)[0])
+    return int(_cover_times(model, partial(_streams.largest_variates, (stream,)), 1)[0])
 
 
-def _cover_times(model: SparsityModel, streams, count: int) -> np.ndarray:
-    # The cover times of the next `count` streams, in order.  Each trial fills
-    # one row of a block with its n variates, or their running max past one
-    # row's width; one max per block then gives every trial's largest
-    # variate, and the map makes it a cover time.
+def _cover_times(model: SparsityModel, largest, count: int) -> np.ndarray:
+    # The cover times of `count` trials, in order.  largest(count, draw, n)
+    # yields each trial's largest of the n variates draw would draw, a block
+    # of trials at a time, and the map makes them cover times.
     draw, cover_times = _streams._geometric_transform(model.theta)
-    draw, width = _streams.chunked_max(draw, model.n)
     values = np.empty(count, dtype=np.int64)
     done = 0
-    for block in _streams.blocks(count, streams, draw, np.float64, width):
-        values[done:done + len(block)] = cover_times(block.max(axis=1))
-        done += len(block)
+    for tops in largest(count, draw, model.n):
+        values[done:done + len(tops)] = cover_times(tops)
+        done += len(tops)
     return values
 
 
@@ -218,8 +220,8 @@ def estimate_expected_cover_time(
     seed = _streams.checked_seed(seed)
     _streams._check_draw_size("an n", model.n)
     _streams._check_draw_size("a trials", trials)
-    streams = _streams.trial_streams(seed, _streams.COVER_TRIAL, trials)
-    values = _cover_times(model, streams, trials)
+    largest = partial(_streams.trial_largest_variates, seed, _streams.COVER_TRIAL)
+    values = _cover_times(model, largest, trials)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(trials)
     half = Z95 * std_error

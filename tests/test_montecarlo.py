@@ -12,6 +12,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -172,7 +173,8 @@ def test_cover_time_memory_is_flat_in_n():
     # may be set up per chunk before a draw.
     estimate_expected_cover_time(SparsityModel(3, 0.5), 2, 0)
     for call in (lambda: estimate_expected_cover_time(SparsityModel(10**6, 0.5), 2, 0),
-                 lambda: montecarlo._cover_times(SparsityModel(2**30, 0.5), iter(()), 0)):
+                 lambda: montecarlo._cover_times(SparsityModel(2**30, 0.5),
+                                                 partial(_streams.largest_variates, iter(())), 0)):
         tracemalloc.start()
         try:
             call()
@@ -280,7 +282,8 @@ def test_cover_times_reproduce_numpys_geometric_sampler(n, theta):
         expected.append(int(stream.geometric(theta, n).max()))
         after.append(stream.random())
     streams = (_streams.spawn_generator(7, _streams.COVER_TRIAL, t) for t in range(trials))
-    cover_times = montecarlo._cover_times(model, streams, trials).tolist()
+    largest = partial(_streams.largest_variates, streams)
+    cover_times = montecarlo._cover_times(model, largest, trials).tolist()
     assert cover_times == expected, _sampler_changed("the estimator's cover time")
     for t in range(trials):
         stream = _streams.spawn_generator(7, _streams.COVER_TRIAL, t)
@@ -356,6 +359,7 @@ def test_trial_count_numpy_cannot_allocate_is_refused(monkeypatch):
         raise AssertionError("a trial stream was derived before the count was refused")
 
     monkeypatch.setattr(_streams, "trial_streams", no_streams)
+    monkeypatch.setattr(_streams, "_trial_keys", no_streams)
     for trials in (2**60, 2**61, 2**64):
         with pytest.raises(DomainError, match=f"a trials = {trials} draw .* numpy can allocate"):
             estimate_expected_cover_time(SparsityModel(1, 0.5), trials, 0)

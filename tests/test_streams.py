@@ -23,6 +23,7 @@ from rowcover import (
     assemble_instance,
     coverage_experiment,
     estimate_coverage_probability,
+    estimate_expected_cover_time,
     row_coverage_check,
 )
 from rowcover import _streams
@@ -160,10 +161,84 @@ def test_blocks_draw_what_one_fill_draws():
     assert list(_streams.blocks(0, iter(()), normal, np.float64, width)) == []
 
 
+_ONES = 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
+def test_philox_words_are_the_rekeyed_streams_raw_words(seed):
+    # Word i is word i mod 4 of the block at counter i // 4 + 1, so 20 words
+    # cross four counter blocks.  The indices either side of 2^32 take their
+    # keys from SeedSequence itself.
+    tag = _streams.COVER_TRIAL
+    for start in (0, BLOCK - 1, 2**32 - 1):
+        keys = next(_streams._trial_keys(seed, tag, start, start + 2))
+        for w in range(1, 21):
+            words = _streams._philox_words(keys, w)
+            assert words.shape == (w, 2)
+            for j in range(2):
+                stream = _streams.spawn_generator(seed, tag, start + j)
+                assert words[:, j].tolist() == stream.bit_generator.random_raw(w).tolist()
+
+
+def test_philox_matches_random123s_known_answer():
+    # Random123's kat_vectors: philox4x64-10 at counter 0 and key 0.
+    block = _streams._philox(np.zeros((4, 1, 1), np.uint64), np.zeros((2, 1, 1), np.uint64))
+    assert block.ravel().tolist() == [
+        0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B]
+
+
+def test_philox_carries_at_all_ones():
+    # All-ones words make every 32-bit limb 2^32 - 1, the largest partial
+    # products and both carries of the multiply-high.
+    words = np.array([0, 1, 2**32 - 1, 2**32, _ONES, 0x8000000000000000], np.uint64)
+    high, low = _streams._mulhilo(np.stack((words, words))[:, None, :])
+    for j, multiplier in enumerate(_streams._PHILOX_MULT):
+        products = [w * multiplier for w in words.tolist()]
+        assert high[j, 0].tolist() == [product >> 64 for product in products]
+        assert low[j, 0].tolist() == [product & _ONES for product in products]
+    # numpy raises the counter before it makes a block: all-ones words at
+    # counter all-ones, and the next blocks at counters that wrap to 0 and 1.
+    ones = np.array([_ONES] * 4, np.uint64)
+    keys = np.full((2, 1), _ONES, np.uint64)
+    reference = np.random.Philox(counter=ones - np.array([1, 0, 0, 0], np.uint64), key=keys[:, 0])
+    block = _streams._philox(ones[:, None, None], keys[:, None, :])
+    assert block.ravel().tolist() == reference.random_raw(4).tolist()
+    fresh = np.random.Philox(key=keys[:, 0]).random_raw(20)
+    assert _streams._philox_words(keys, 20)[:, 0].tolist() == fresh.tolist()
+
+
+def test_small_uniform_trials_take_vectorized_words(monkeypatch):
+    # theta from 1/3 on, n up to the ceiling and trials from the floor on:
+    # no generator is re-keyed, and the estimate is the per-trial one.
+    # Past each edge the trials are drawn from re-keyed generators.
+    ceiling, floor = _streams._WORDS_CEILING, _streams._WORDS_FLOOR
+    rekeyed = []
+    keyed_streams = _streams.keyed_streams
+
+    def counted(keys):
+        rekeyed.append(True)
+        return keyed_streams(keys)
+
+    monkeypatch.setattr(_streams, "keyed_streams", counted)
+    for n, theta, trials, vectorized in (
+        (ceiling, 1 / 3, floor, True), (1, 1.0, floor + 1, True),
+        (ceiling + 1, 0.5, floor, False), (ceiling, math.nextafter(1 / 3, 0.0), floor, False),
+        (ceiling, 0.5, floor - 1, False),
+    ):
+        rekeyed.clear()
+        estimate = estimate_expected_cover_time(SparsityModel(n, theta), trials, 5)
+        assert bool(rekeyed) is not vectorized
+        streams = (_streams.spawn_generator(5, _streams.COVER_TRIAL, t) for t in range(trials))
+        values = [int(stream.geometric(theta, n).max()) for stream in streams]
+        assert estimate.mean == float(np.mean(values))
+
+
 # How numpy draws is _streams' concern alone: these are the names of its
-# copies of numpy's hash, Philox state, double and sampler details.
+# copies of numpy's hash, Philox state, Philox rounds, double and sampler
+# details.
 _NUMPY_STREAM_DETAILS = {
     "bit_generator", "random_raw", "raw_limit", "SeedSequence", "Philox", "standard_exponential",
+    "_philox", "_philox_words", "_mulhilo",
 }
 # So is the size of a sampled block: these are its row cap and byte budget.
 _BLOCK_SIZING = {"_BLOCK", "_BLOCK_BYTES"}
