@@ -39,11 +39,13 @@ least _WORDS_FLOOR = 128 trials, each of at most _WORDS_CEILING = 20
 uniforms (theta from 1/3 on), computes every trial's words with Philox
 itself, in numpy array code, one pass per block of keys (_philox_words),
 and keeps each trial's largest (trial_largest_variates).  The words are
-those the re-keyed stream would yield, so the cover times are too.  Past
-20 variates the words' rounds cost more than the native draw they
-replace, and below 128 trials their fixed cost per block is more than
-the re-keying they save; those trials, the exponential branch, and a
-caller's own stream (sample_cover_time) are drawn from generators.
+those the re-keyed stream would yield, so the cover times are too.  The
+words cost one more Philox block per four variates, while a native draw
+costs about the same at any small n, so their gain shrinks with n and is
+gone near 32 variates; the ceiling keeps a margin below that.  Below 128
+trials the rounds' fixed cost per block is more than the re-keying they
+save.  Those trials, the exponential branch, and a caller's own stream
+(sample_cover_time) are drawn from generators.
 
 This is also the one place a sampled call's blocks are sized.  A block of
 trials stacks one row per trial, at most _BLOCK = 1,024 rows and
@@ -144,13 +146,13 @@ _SEARCH_THETA = 1 / 3
 
 # A call of at least _WORDS_FLOOR uniform-branch cover times of at most
 # _WORDS_CEILING variates each takes their largest from vectorized Philox
-# words (_philox_words).  Set from per-call timings at 1,000 trials on one
-# pinned CPU (BENCH_29.json): a re-keyed trial costs about the same at any
-# small n, while the words cost one more Philox block per four variates, and
-# the two cross between n = 28 and 32; at 20 the words are still about 1.4x
-# faster, and 21-24 (one more block) only about as fast.  Below the floor,
-# the rounds' fixed cost of about 160 numpy calls a block of keys is more
-# than the re-keying it saves.
+# words (_philox_words).  Set from per-call timings on one pinned CPU
+# (BENCH_29.json, crossover_us): at 1,000 trials the words ran 1.6-2.0x as
+# fast as re-keyed draws at n = 16-20, 1.1-1.3x at 21-24 (one more Philox
+# block), 1.1x at 28 and 1.0x at 32; the ceiling is the largest n whose
+# gain was clear in every run.  At n = 3 the words paid back the rounds'
+# fixed cost, about 160 numpy calls a block of keys, from about 100 trials,
+# and at n = 20 from about 128.
 _WORDS_CEILING = 20
 _WORDS_FLOOR = 128
 
