@@ -141,9 +141,9 @@ def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
 # trial at n = 2 * 2^13 + 5 fills one row, and one at n = 2 * 2^15 + 5
 # draws its variates in three chunks of 2^15.  The counts at n = 20 are the
 # edges of a 2^16-byte block.  The uniform-branch cases that follow sit
-# either side of theta = 1/3, of n = 16 and n = 20, and of 128 trials, the
-# edges of where small trials may take vectorized Philox words instead of
-# re-keyed generators.
+# either side of theta = 1/3, of n = 16 and n = 20, and of 128 and 256
+# trials, the edges of where small trials may take vectorized Philox words
+# instead of re-keyed generators.
 @pytest.mark.parametrize(
     "n, theta, counts",
     [(1, 0.3, (1023, 1024, 1025)), (3, 0.5, (1023, 1024, 1025)),
@@ -152,7 +152,7 @@ def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
      (4, 0.5, (1023, 1024, 1025)), (5, 1 / 3, (1023, 1024, 1025)),
      (16, 0.9, (1023, 1024, 1025)), (17, 0.9, (1023, 1024, 1025)),
      (2, 1.0, (1023, 1024, 1025)), (20, 0.9, (1023, 1024, 1025)),
-     (21, 0.9, (1023, 1024, 1025)), (8, 0.5, (127, 128, 129))],
+     (21, 0.9, (1023, 1024, 1025)), (8, 0.5, (127, 128, 129)), (8, 0.5, (255, 256, 257))],
 )
 @pytest.mark.parametrize("seed", [0, 7, _TOP_SEED])
 def test_expected_cover_time_matches_a_per_trial_reference(n, theta, counts, seed):
