@@ -35,17 +35,17 @@ with its stream.
 
 A small uniform-branch cover time needs only a few raw words, and a
 re-keyed generator costs more per trial than its draws.  So a call of at
-least _WORDS_FLOOR = 128 trials, each of at most _WORDS_CEILING = 20
+least _WORDS_FLOOR = 256 trials, each of at most _WORDS_CEILING = 20
 uniforms (theta from 1/3 on), computes every trial's words with Philox
 itself, in numpy array code, one pass per block of keys (_philox_words),
 and keeps each trial's largest (trial_largest_variates).  The words are
 those the re-keyed stream would yield, so the cover times are too.  The
 words cost one more Philox block per four variates, while a native draw
 costs about the same at any small n, so their gain shrinks with n and is
-gone near 32 variates; the ceiling keeps a margin below that.  Below 128
-trials the rounds' fixed cost per block is more than the re-keying they
-save.  Those trials, the exponential branch, and a caller's own stream
-(sample_cover_time) are drawn from generators.
+gone from about 28 variates; the ceiling keeps a margin below that.
+Below the floor, the rounds' fixed cost per block can be more than the
+re-keying they save.  Those trials, the exponential branch, and a
+caller's own stream (sample_cover_time) are drawn from generators.
 
 This is also the one place a sampled call's blocks are sized.  A block of
 trials stacks one row per trial, at most _BLOCK = 1,024 rows and
@@ -146,15 +146,15 @@ _SEARCH_THETA = 1 / 3
 
 # A call of at least _WORDS_FLOOR uniform-branch cover times of at most
 # _WORDS_CEILING variates each takes their largest from vectorized Philox
-# words (_philox_words).  Set from per-call timings on one pinned CPU
-# (BENCH_29.json, crossover_us): at 1,000 trials the words ran 1.6-2.0x as
-# fast as re-keyed draws at n = 16-20, 1.1-1.3x at 21-24 (one more Philox
-# block), 1.1x at 28 and 1.0x at 32; the ceiling is the largest n whose
-# gain was clear in every run.  At n = 3 the words paid back the rounds'
-# fixed cost, about 160 numpy calls a block of keys, from about 100 trials,
-# and at n = 20 from about 128.
+# words (_philox_words).  Set from paired per-call timings on one pinned
+# CPU (BENCH_29.json, paired_ratio): at 1,000 trials the words ran 1.4x as
+# fast as re-keyed draws at n = 16, 1.2x at 20 and 24, and 0.94x at 28, so
+# the ceiling keeps one Philox block of four words below the last n that
+# gained.  The rounds' fixed cost, about 160 numpy calls a block of keys, is
+# paid back from about 100 trials at n = 3 but only past 128 at n = 16-20;
+# at 256 every n up to the ceiling gained 1.3x or more.
 _WORDS_CEILING = 20
-_WORDS_FLOOR = 128
+_WORDS_FLOOR = 256
 
 # numpy refuses, with a bare ValueError, an array of more bytes than this.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
