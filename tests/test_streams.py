@@ -196,8 +196,9 @@ def test_philox_carries_at_all_ones():
         products = [w * multiplier for w in words.tolist()]
         assert high[j, 0].tolist() == [product >> 64 for product in products]
         assert low[j, 0].tolist() == [product & _ONES for product in products]
-    # numpy raises the counter before it makes a block: all-ones words at
-    # counter all-ones, and the next blocks at counters that wrap to 0 and 1.
+    # numpy raises the counter before it makes a block, so a Philox set one
+    # below all-ones makes its first block at counter all-ones; an all-ones
+    # key's first 20 words are its blocks at counters 1 .. 5.
     ones = np.array([_ONES] * 4, np.uint64)
     keys = np.full((2, 1), _ONES, np.uint64)
     reference = np.random.Philox(counter=ones - np.array([1, 0, 0, 0], np.uint64), key=keys[:, 0])
