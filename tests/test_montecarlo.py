@@ -293,6 +293,24 @@ def test_cover_times_reproduce_numpys_geometric_sampler(n, theta):
         assert stream.random() == after[t], _sampler_changed("the stream after a cover time")
 
 
+# Both branches, either side of the vectorized words' ceiling.
+@pytest.mark.parametrize("n, theta", [(1, 0.5), (3, 1 / 3), (8, 0.5), (20, 0.9), (3, 0.1)])
+@pytest.mark.parametrize("used", [0, 1, 3, 5])
+def test_sample_cover_time_continues_a_used_stream(n, theta, used):
+    # A caller's stream is mid-way: its counter has moved, part of a block
+    # is buffered and half a word is held for the next 32-bit draw.  Its
+    # cover time is drawn from there, never from words computed at counter
+    # zero, and leaves it where geometric would.
+    model = SparsityModel(n, theta)
+    stream, twin = (_streams.spawn_generator(9, _streams.COVER_TRIAL, 0) for _ in range(2))
+    for generator in (stream, twin):
+        generator.random(used)
+        generator.integers(2**32)
+    assert stream.bit_generator.state["has_uint32"] == 1
+    assert sample_cover_time(model, stream) == int(twin.geometric(theta, n).max())
+    assert stream.random() == twin.random()
+
+
 def _numpy_search(theta: float, uniform: float) -> int | None:
     # numpy's geometric search for one uniform, step for step; None where
     # its running sum has stopped growing below the uniform, and numpy's
