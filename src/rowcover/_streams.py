@@ -120,6 +120,7 @@ _SHIFT32 = np.array(32, np.uint64)
 _PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # Round r of ten is keyed by the key plus r times the Weyl constants, mod 2^64.
+# Each round adds its own step, so no stack of all ten rounds' keys is held.
 _PHILOX_KEY_STEPS = np.array(
     [[r * weyl % 2**64 for weyl in _PHILOX_WEYL] for r in range(10)], np.uint64
 )[:, :, None, None]
@@ -260,19 +261,6 @@ def chunked_max(draw, n: int):
     return (draw if n == width else chunked), width
 
 
-def largest_variates(streams, count: int, draw, n: int) -> Iterator[np.ndarray]:
-    """Each of the next count streams' largest of n variates drawn by draw, a block at a time.
-
-    draw is a Generator method that fills and returns out.  Each trial fills
-    one row of a block with its n variates, or their running max past one
-    row's width (chunked_max), and one max per block gives every trial's
-    largest, in order.  The stream after the last is left at its start.
-    """
-    draw, width = chunked_max(draw, n)
-    for block in blocks(count, streams, draw, np.float64, width):
-        yield block.max(axis=1)
-
-
 def _geometric_transform(theta: float):
     """numpy's geometric(theta) sampler as a variate and a map of its largest.
 
@@ -321,6 +309,33 @@ def _geometric_transform(theta: float):
         return np.searchsorted(sums, tops) + 1
 
     return np.random.Generator.random, searched
+
+
+def cover_times(theta: float, n: int, count: int, streams) -> np.ndarray:
+    """The int64 cover times of the next count of streams, each the largest of n geometric(theta) draws.
+
+    Each equals stream.geometric(theta, n).max() and leaves the stream where
+    that would: each trial fills one row of a block with the n variates
+    numpy's sampler draws, or their running max past one row's width
+    (chunked_max), one max per block gives every trial's largest, and only
+    that is mapped to a draw (_geometric_transform).  The stream after the
+    last is left at its start.
+    """
+    draw, cover_time = _geometric_transform(theta)
+    draw, width = chunked_max(draw, n)
+    tops = (block.max(axis=1) for block in blocks(count, streams, draw, np.float64, width))
+    return _mapped(tops, cover_time, count)
+
+
+def _mapped(tops: Iterable[np.ndarray], cover_time, count: int) -> np.ndarray:
+    # The cover times of count trials, in order, from their largest
+    # variates, which tops yields a block of trials at a time.
+    values = np.empty(count, dtype=np.int64)
+    done = 0
+    for block in tops:
+        values[done:done + len(block)] = cover_time(block)
+        done += len(block)
+    return values
 
 
 def _check_draw_size(names: str, *shape: int) -> None:
@@ -467,9 +482,9 @@ def _philox(counters: np.ndarray, keys: np.ndarray) -> np.ndarray:
     round after the first.
     """
     even, odd = counters[0::2], counters[1::2]
-    for round_keys in keys + _PHILOX_KEY_STEPS:
+    for step in _PHILOX_KEY_STEPS:
         high, low = _mulhilo(even)
-        even, odd = high[::-1] ^ odd ^ round_keys, low[::-1]
+        even, odd = high[::-1] ^ odd ^ (keys + step), low[::-1]
     out = np.empty((4, *even.shape[1:]), np.uint64)
     out[0::2], out[1::2] = even, odd
     return out
@@ -535,20 +550,21 @@ def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Genera
     return keyed_streams(chain.from_iterable(zip(*block.tolist()) for block in keys))
 
 
-def trial_largest_variates(seed: int, tag: int, count: int, draw, n: int) -> Iterator[np.ndarray]:
-    """largest_variates of the streams (seed, tag, t) for t = 0 .. count - 1.
+def trial_cover_times(seed: int, tag: int, theta: float, n: int, count: int) -> np.ndarray:
+    """cover_times of the streams (seed, tag, t) for t = 0 .. count - 1.
 
     A call of at least _WORDS_FLOOR trials of at most _WORDS_CEILING
-    uniforms each (draw is Generator.random) takes each trial's first n raw
-    words from one vectorized Philox pass per block of keys (_philox_words),
-    and makes the largest the double random() would: (w >> 11) * 2^-53,
-    which never falls as w grows, so it is the largest uniform.  Every other
-    call draws from re-keyed generators.
+    uniforms each (theta from 1/3 on) takes each trial's first n raw words
+    from one vectorized Philox pass per block of keys (_philox_words), and
+    makes the largest the double random() would: (w >> 11) * 2^-53, which
+    never falls as w grows, so it is the largest uniform.  Every other call
+    draws from re-keyed generators.
     """
-    if draw is np.random.Generator.random and n <= _WORDS_CEILING and count >= _WORDS_FLOOR:
+    if theta >= _SEARCH_THETA and n <= _WORDS_CEILING and count >= _WORDS_FLOOR:
+        _, cover_time = _geometric_transform(theta)
         words = (_philox_words(keys, n) for keys in _trial_keys(seed, tag, 0, count))
-        return ((block.max(axis=0) >> 11) * 2.0**-53 for block in words)
-    return largest_variates(trial_streams(seed, tag, count), count, draw, n)
+        return _mapped(((block.max(axis=0) >> 11) * 2.0**-53 for block in words), cover_time, count)
+    return cover_times(theta, n, count, trial_streams(seed, tag, count))
 
 
 def trial_seeds(seed: int, tag: int, start: int, stop: int) -> Iterator[int]:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -144,20 +143,7 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     # callers that never sample about 2 MB and 10 ms.
     if not isinstance(stream, np.random.Generator):
         raise DomainError(f"stream must be a numpy Generator, got {type(stream).__name__}")
-    return int(_cover_times(model, partial(_streams.largest_variates, (stream,)), 1)[0])
-
-
-def _cover_times(model: SparsityModel, largest, count: int) -> np.ndarray:
-    # The cover times of `count` trials, in order.  largest(count, draw, n)
-    # yields each trial's largest of the n variates draw would draw, a block
-    # of trials at a time, and the map makes them cover times.
-    draw, cover_times = _streams._geometric_transform(model.theta)
-    values = np.empty(count, dtype=np.int64)
-    done = 0
-    for tops in largest(count, draw, model.n):
-        values[done:done + len(tops)] = cover_times(tops)
-        done += len(tops)
-    return values
+    return int(_streams.cover_times(model.theta, model.n, 1, (stream,))[0])
 
 
 def sample_indicator_pattern(model: SparsityModel, p: int, seed: int) -> np.ndarray:
@@ -220,8 +206,7 @@ def estimate_expected_cover_time(
     seed = _streams.checked_seed(seed)
     _streams._check_draw_size("an n", model.n)
     _streams._check_draw_size("a trials", trials)
-    largest = partial(_streams.trial_largest_variates, seed, _streams.COVER_TRIAL)
-    values = _cover_times(model, largest, trials)
+    values = _streams.trial_cover_times(seed, _streams.COVER_TRIAL, model.theta, model.n, trials)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(trials)
     half = Z95 * std_error

@@ -12,7 +12,6 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -173,8 +172,7 @@ def test_cover_time_memory_is_flat_in_n():
     # may be set up per chunk before a draw.
     estimate_expected_cover_time(SparsityModel(3, 0.5), 2, 0)
     for call in (lambda: estimate_expected_cover_time(SparsityModel(10**6, 0.5), 2, 0),
-                 lambda: montecarlo._cover_times(SparsityModel(2**30, 0.5),
-                                                 partial(_streams.largest_variates, iter(())), 0)):
+                 lambda: _streams.cover_times(0.5, 2**30, 0, iter(()))):
         tracemalloc.start()
         try:
             call()
@@ -182,6 +180,21 @@ def test_cover_time_memory_is_flat_in_n():
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def test_vectorized_words_stay_within_the_block_budget():
+    # A full block of 1,024 small uniform-branch trials takes vectorized
+    # Philox words: one block of words and the rounds' transients, with each
+    # round's keys made as the round needs them, stay under 2^18 bytes.
+    model = SparsityModel(3, 0.5)
+    estimate_expected_cover_time(model, 1024, 0)
+    tracemalloc.start()
+    try:
+        estimate_expected_cover_time(model, 1024, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
 
 
 def test_distinct_seeds_give_distinct_samples():
@@ -282,8 +295,7 @@ def test_cover_times_reproduce_numpys_geometric_sampler(n, theta):
         expected.append(int(stream.geometric(theta, n).max()))
         after.append(stream.random())
     streams = (_streams.spawn_generator(7, _streams.COVER_TRIAL, t) for t in range(trials))
-    largest = partial(_streams.largest_variates, streams)
-    cover_times = montecarlo._cover_times(model, largest, trials).tolist()
+    cover_times = _streams.cover_times(theta, n, trials, streams).tolist()
     assert cover_times == expected, _sampler_changed("the estimator's cover time")
     for t in range(trials):
         stream = _streams.spawn_generator(7, _streams.COVER_TRIAL, t)

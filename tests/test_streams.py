@@ -239,7 +239,7 @@ def test_small_uniform_trials_take_vectorized_words(monkeypatch):
 # details.
 _NUMPY_STREAM_DETAILS = {
     "bit_generator", "random_raw", "raw_limit", "SeedSequence", "Philox", "standard_exponential",
-    "_philox", "_philox_words", "_mulhilo",
+    "_philox", "_philox_words", "_mulhilo", "_geometric_transform",
 }
 # So is the size of a sampled block: these are its row cap and byte budget.
 _BLOCK_SIZING = {"_BLOCK", "_BLOCK_BYTES"}
