@@ -120,7 +120,8 @@ _SHIFT32 = np.array(32, np.uint64)
 _PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # Round r of ten is keyed by the key plus r times the Weyl constants, mod 2^64.
-# Each round adds its own step, so no stack of all ten rounds' keys is held.
+# A round adds its step to the keys as it runs, so one round's keys are held
+# at a time, within the block budget.
 _PHILOX_KEY_STEPS = np.array(
     [[r * weyl % 2**64 for weyl in _PHILOX_WEYL] for r in range(10)], np.uint64
 )[:, :, None, None]
@@ -312,14 +313,14 @@ def _geometric_transform(theta: float):
 
 
 def cover_times(theta: float, n: int, count: int, streams) -> np.ndarray:
-    """The int64 cover times of the next count of streams, each the largest of n geometric(theta) draws.
+    """The int64 cover times of the next count of streams, each of n geometric(theta) draws.
 
-    Each equals stream.geometric(theta, n).max() and leaves the stream where
-    that would: each trial fills one row of a block with the n variates
-    numpy's sampler draws, or their running max past one row's width
-    (chunked_max), one max per block gives every trial's largest, and only
-    that is mapped to a draw (_geometric_transform).  The stream after the
-    last is left at its start.
+    A cover time equals stream.geometric(theta, n).max() and leaves the
+    stream where that would: each trial fills one row of a block with the n
+    variates numpy's sampler draws, or their running max past one row's
+    width (chunked_max), one max per block gives every trial's largest, and
+    only that is mapped to a draw (_geometric_transform).  The stream after
+    the last is left at its start.
     """
     draw, cover_time = _geometric_transform(theta)
     draw, width = chunked_max(draw, n)
@@ -561,9 +562,9 @@ def trial_cover_times(seed: int, tag: int, theta: float, n: int, count: int) -> 
     draws from re-keyed generators.
     """
     if theta >= _SEARCH_THETA and n <= _WORDS_CEILING and count >= _WORDS_FLOOR:
-        _, cover_time = _geometric_transform(theta)
-        words = (_philox_words(keys, n) for keys in _trial_keys(seed, tag, 0, count))
-        return _mapped(((block.max(axis=0) >> 11) * 2.0**-53 for block in words), cover_time, count)
+        tops = ((_philox_words(keys, n).max(axis=0) >> 11) * 2.0**-53
+                for keys in _trial_keys(seed, tag, 0, count))
+        return _mapped(tops, _geometric_transform(theta)[1], count)
     return cover_times(theta, n, count, trial_streams(seed, tag, count))
 
 
