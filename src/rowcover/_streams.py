@@ -28,24 +28,28 @@ following it is.
 A Bernoulli(theta) indicator is Generator.random() < theta at the next
 stream position.  raw_limit turns that into one integer compare of the
 raw Philox word, so pattern_draw draws patterns with random_raw and no
-doubles.  A cover time's variates are drawn and mapped as numpy's
-geometric sampler does (_geometric_transform).  fill draws each row of a
-stacked buffer from the next stream, and is the one place a row is paired
-with its stream.
+doubles.  fill draws each row of a stacked buffer from the next stream,
+and is the one place a row is paired with its stream.
 
-A small uniform-branch cover time needs only a few raw words, and a
-re-keyed generator costs more per trial than its draws.  So a call of at
-least _WORDS_FLOOR = 256 trials, each of at most _WORDS_CEILING = 20
-uniforms (theta from 1/3 on), computes every trial's words with Philox
-itself, in numpy array code, one pass per block of keys (_philox_words),
-and keeps each trial's largest (trial_largest_variates).  The words are
-those the re-keyed stream would yield, so the cover times are too.  The
-words cost one more Philox block per four variates, while a native draw
-costs about the same at any small n, so their gain shrinks with n and is
-gone from about 28 variates; the ceiling keeps a margin below that.
-Below the floor, the rounds' fixed cost per block can be more than the
-re-keying they save.  Those trials, the exponential branch, and a
-caller's own stream (sample_cover_time) are drawn from generators.
+Cover times are drawn here whole: cover_times gives those of any
+generators, a caller's one stream included, and trial_cover_times those
+of the keyed trials, both mapped through one loop (_mapped).  A cover
+time's variates are drawn and mapped as numpy's geometric sampler does
+(_geometric_transform).  A small uniform-branch cover time needs only a
+few raw words, and a re-keyed generator costs more per trial than its
+draws.  So trial_cover_times, for a call of at least _WORDS_FLOOR = 256
+trials, each of at most _WORDS_CEILING = 20 uniforms (theta from 1/3 on),
+computes every trial's words with Philox itself, in numpy array code, one
+pass per block of keys (_philox_words), and keeps each trial's largest.
+The words are those the re-keyed stream would yield, so the cover times
+are too.  The words cost one more Philox block per four variates, while a
+native draw costs about the same at any small n, so their gain shrinks
+with n and is gone from about 28 variates; the ceiling keeps a margin
+below that.  Below the floor, the rounds' fixed cost per block can be more
+than the re-keying they save.  Those trials and the exponential branch
+are drawn from re-keyed generators, and that choice is made nowhere else.
+A caller's stream is always drawn from: the words hold only at counter
+zero.
 
 This is also the one place a sampled call's blocks are sized.  A block of
 trials stacks one row per trial, at most _BLOCK = 1,024 rows and

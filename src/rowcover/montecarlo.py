@@ -16,19 +16,17 @@ _streams.trial_streams and _streams.trial_seeds, which derive them in
 batches under that same scheme; a stream they yield is valid only until
 the next trial's.
 
-A cover time is the largest of n geometric(theta) draws.  It is computed
-from the variates numpy's Generator.geometric would draw from the same
-stream positions, by mapping only each trial's largest variate through
-numpy's non-decreasing transform (_streams._geometric_transform).  Trials
-are drawn into stacked blocks and reduced one numpy max per block, a trial
-too long for one row chunk by chunk (_streams.chunked_max), so a call holds
-at most one block and one chunk.  An estimate of many small uniform-branch
-trials takes each trial's raw words from Philox computed over a block of
-keys at once, the same words its stream would yield, instead of re-keying
-a generator per trial (_streams.trial_largest_variates).  Coverage trials
-are drawn into stacked blocks too, a pattern a row, and counted one
-reduction per block (_covered, which counts the OMF experiment's instances
-too).  _streams sizes every block and names the budget.
+A cover time is the largest of n geometric(theta) draws.  _streams draws
+cover times whole, from the variates numpy's Generator.geometric would
+draw from the same stream positions, mapping only each trial's largest
+through numpy's non-decreasing transform: sample_cover_time's from the
+caller's stream (_streams.cover_times), and the estimator's from its keyed
+trials (_streams.trial_cover_times), which takes many small uniform-branch
+trials' raw words from Philox computed over a block of keys at once, the
+same words their streams would yield.  Coverage trials are drawn into
+stacked blocks, a pattern a row, and counted one reduction per block
+(_covered, which counts the OMF experiment's instances too).  _streams
+sizes every block and names the budget.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the
