@@ -37,19 +37,17 @@ of the keyed trials, both mapped through one loop (_mapped).  A cover
 time's variates are drawn and mapped as numpy's geometric sampler does
 (_geometric_transform).  A small uniform-branch cover time needs only a
 few raw words, and a re-keyed generator costs more per trial than its
-draws.  So trial_cover_times, for a call of at least _WORDS_FLOOR = 256
-trials, each of at most _WORDS_CEILING = 20 uniforms (theta from 1/3 on),
-computes every trial's words with Philox itself, in numpy array code, one
-pass per block of keys (_philox_words), and keeps each trial's largest.
-The words are those the re-keyed stream would yield, so the cover times
-are too.  The words cost one more Philox block per four variates, while a
+draws.  So trial_cover_times, for trials of at most _WORDS_CEILING = 20
+uniforms each (theta from 1/3 on), computes every trial's words with
+Philox itself, in numpy array code, one pass per block of keys
+(_philox_words), and keeps each trial's largest.  The words are those
+the re-keyed stream would yield, so the cover times are too, at any trial
+count.  The words cost one more Philox block per four variates, while a
 native draw costs about the same at any small n, so their gain shrinks
 with n and is gone from about 28 variates; the ceiling keeps a margin
-below that.  Below the floor, the rounds' fixed cost per block can be more
-than the re-keying they save.  Those trials and the exponential branch
-are drawn from re-keyed generators, and that choice is made nowhere else.
-A caller's stream is always drawn from: the words hold only at counter
-zero.
+below that.  Longer trials and the exponential branch are drawn from
+re-keyed generators, and that choice is made nowhere else.  A caller's
+stream is always drawn from: the words hold only at counter zero.
 
 This is also the one place a sampled call's blocks are sized.  A block of
 trials stacks one row per trial, at most _BLOCK = 1,024 rows and
@@ -150,17 +148,14 @@ _CLIP_AT = 2.0**63
 # sum for a uniform from it on.
 _SEARCH_THETA = 1 / 3
 
-# A call of at least _WORDS_FLOOR uniform-branch cover times of at most
-# _WORDS_CEILING variates each takes their largest from vectorized Philox
-# words (_philox_words).  Set from paired per-call timings on one pinned
-# CPU (BENCH_29.json, paired_ratio): at 1,000 trials the words ran 1.4x as
-# fast as re-keyed draws at n = 16, 1.2x at 20 and 24, and 0.94x at 28, so
-# the ceiling keeps one Philox block of four words below the last n that
-# gained.  The rounds' fixed cost, about 160 numpy calls a block of keys, is
-# paid back from about 100 trials at n = 3 but only past 128 at n = 16-20;
-# at 256 every n up to the ceiling gained 1.3x or more.
+# Uniform-branch cover times of at most _WORDS_CEILING variates each take
+# their largest from vectorized Philox words (_philox_words).  Set from
+# paired per-call timings on one pinned CPU (BENCH_29.json, paired_ratio):
+# at 1,000 trials the words ran 1.4x as fast as re-keyed draws at n = 16,
+# 1.2x at 20 and 24, and 0.94x at 28, so the ceiling keeps one Philox block
+# of four words below the last n that gained.  Past it the words' arrays
+# also grow as n x 1,024 keys a block.
 _WORDS_CEILING = 20
-_WORDS_FLOOR = 256
 
 # numpy refuses, with a bare ValueError, an array of more bytes than this.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
@@ -558,14 +553,13 @@ def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Genera
 def trial_cover_times(seed: int, tag: int, theta: float, n: int, count: int) -> np.ndarray:
     """cover_times of the streams (seed, tag, t) for t = 0 .. count - 1.
 
-    A call of at least _WORDS_FLOOR trials of at most _WORDS_CEILING
-    uniforms each (theta from 1/3 on) takes each trial's first n raw words
-    from one vectorized Philox pass per block of keys (_philox_words), and
-    makes the largest the double random() would: (w >> 11) * 2^-53, which
-    never falls as w grows, so it is the largest uniform.  Every other call
-    draws from re-keyed generators.
+    Trials of at most _WORDS_CEILING uniforms each (theta from 1/3 on)
+    take each trial's first n raw words from one vectorized Philox pass per
+    block of keys (_philox_words), and make the largest the double random()
+    would: (w >> 11) * 2^-53, which never falls as w grows, so it is the
+    largest uniform.  Every other call draws from re-keyed generators.
     """
-    if theta >= _SEARCH_THETA and n <= _WORDS_CEILING and count >= _WORDS_FLOOR:
+    if theta >= _SEARCH_THETA and n <= _WORDS_CEILING:
         tops = ((_philox_words(keys, n).max(axis=0) >> 11) * 2.0**-53
                 for keys in _trial_keys(seed, tag, 0, count))
         return _mapped(tops, _geometric_transform(theta)[1], count)

@@ -309,7 +309,7 @@ def _inner_complement_log(n: int, theta: float, log_q: float, first: int) -> lis
     import numpy as np
 
     log_theta = math.log(theta)
-    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     reach = int(_BAND_SDS * math.sqrt(theta * (1.0 - theta)) * math.sqrt(n - 1)) + 30
     a, b = max(0, int((first + 1) * theta) - reach), min(n, int(n * theta) + reach + 1)
 
@@ -356,8 +356,9 @@ def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
     # factors fall, so the cells a row k > c leaves out sum to at most
     # term_c g / (1 - g), with g the computed factor at c inflated by
     # 2^-49 for the rounding of the factors and products (plus 5e-324 a
-    # cell for products that underflow).  A row with g >= 1 gets an
-    # infinite bound, so it is summed in full.
+    # cell for products that underflow).  A row k <= c leaves none out, and
+    # its bound is exactly 0.  A row with g >= 1 gets an infinite bound, so
+    # it is summed in full.
     import numpy as np
 
     q = 1.0 - theta
@@ -384,9 +385,6 @@ def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
     complements = []
     for k0, k1, width in _row_blocks(n, band_width, first):
         terms = build(k0, k1, width)
-        if width == k1:  # no row is cut
-            complements += [1.0 - total for total in _row_sums(terms)]
-            continue
         skipped = np.maximum(np.arange(k0 + 1 - width, k1 + 1 - width, dtype=float), 0.0)
         g = skipped / width * ratio * (1.0 + 2.0**-49)
         room = 1.0 - g
@@ -419,8 +417,8 @@ def phase_sum_raw(model: SparsityModel) -> float:
     join the final fsum as one exact term, their count, and fsum, correctly
     rounded, returns the same double as if each were summed.  lambda is at
     most 36.8 where 1 - theta != 1, so the last row is always built.  The
-    n(n+1)/2 terms of all rows still bound the call: more than 10^8, i.e.
-    n >= 14142, raise DomainError.
+    (n(n+1) - first(first+1))/2 terms of the rows built, k = first .. n-1,
+    bound the call: more than 10^8 raise DomainError before any row is built.
 
     The rows are built and summed in numpy blocks of at most 8192 cells,
     each row's terms formed in the order of a per-row recurrence.  Each row
@@ -449,13 +447,13 @@ def phase_sum_raw(model: SparsityModel) -> float:
         return float(n)
     if 1.0 - theta == 1.0:  # the phase k = 0 wait would be 1 / (1 - 1.0)
         raise DomainError(f"1 - theta rounds to 1 at theta = {theta!r}; use phase_sum_expectation")
-    if n * (n + 1) // 2 > _MAX_TAIL_TERMS:
-        raise DomainError(
-            f"n = {n} needs n(n+1)/2 binomial terms, more than {_MAX_TAIL_TERMS}; "
-            "use phase_sum_expectation"
-        )
     log_q = model.log_q
     first = max(0, n + 1 - math.ceil(min(_SKIP_NATS / -log_q, n + 1)))
+    if (n * (n + 1) - first * (first + 1)) // 2 > _MAX_TAIL_TERMS:
+        raise DomainError(
+            f"n = {n} needs more than {_MAX_TAIL_TERMS} binomial terms in the "
+            f"{n - first} rows it builds; use phase_sum_expectation"
+        )
     if n * log_q < _UNDERFLOW_LOG:
         complements = _inner_complement_log(n, theta, log_q, first)
     else:

@@ -21,12 +21,13 @@ cover times whole, from the variates numpy's Generator.geometric would
 draw from the same stream positions, mapping only each trial's largest
 through numpy's non-decreasing transform: sample_cover_time's from the
 caller's stream (_streams.cover_times), and the estimator's from its keyed
-trials (_streams.trial_cover_times), which takes many small uniform-branch
-trials' raw words from Philox computed over a block of keys at once, the
-same words their streams would yield.  Coverage trials are drawn into
-stacked blocks, a pattern a row, and counted one reduction per block
-(_covered, which counts the OMF experiment's instances too).  _streams
-sizes every block and names the budget.
+trials (_streams.trial_cover_times), which takes the raw words of
+uniform-branch trials of at most 20 variates from Philox computed over a
+block of keys at once, at any trial count, the same words their streams
+would yield.  Coverage trials are drawn into stacked blocks, a pattern a
+row, and counted one reduction per block (_covered, which counts the OMF
+experiment's instances too).  _streams sizes every block and names the
+budget.
 
 Only the sparsity indicator pattern is sampled here; coverage does not
 depend on the nonzero values themselves.  Value sampling belongs to the

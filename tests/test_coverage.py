@@ -642,10 +642,16 @@ def test_phase_sum_raw_refuses_unresolvable_complement():
 
 
 def test_phase_sum_raw_refuses_more_than_the_term_ceiling():
-    # n(n+1)/2 passes 10^8 at n = 14142; the refusal comes before any term.
-    for n in (14142, 10**6, 2**1000):
+    # Only the terms of the rows built count, row k holding k + 1 of them
+    # and the rows from n - 40/lambda on built.  At theta = 1e-4 n = 14142
+    # builds every row, past 10^8 terms, and at n = 2^1000 its last 57 rows
+    # hold about 2^1000 terms each; the refusal comes before any term.
+    for model in (SparsityModel(14142, 1e-4), SparsityModel(2**1000, 0.5)):
         with pytest.raises(DomainError, match="phase_sum_expectation"):
-            phase_sum_raw(SparsityModel(n, 0.5))
+            phase_sum_raw(model)
+    # At theta = 0.5 n = 14142 builds its last 58 rows, well within the ceiling.
+    model = SparsityModel(14142, 0.5)
+    assert phase_sum_raw(model) == pytest.approx(phase_sum_expectation(model), rel=1e-12)
     assert phase_sum_raw(SparsityModel(14142, 1.0)) == 14142.0
 
 

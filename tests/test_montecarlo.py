@@ -140,9 +140,9 @@ def _per_trial_estimate(values: np.ndarray, seed: int) -> MonteCarloEstimate:
 # trial at n = 2 * 2^13 + 5 fills one row, and one at n = 2 * 2^15 + 5
 # draws its variates in three chunks of 2^15.  The counts at n = 20 are the
 # edges of a 2^16-byte block.  The uniform-branch cases that follow sit
-# either side of theta = 1/3, of n = 16 and n = 20, and of 128 and 256
-# trials, the edges of where small trials may take vectorized Philox words
-# instead of re-keyed generators.
+# either side of theta = 1/3 and of n = 16 and n = 20, the edges of where
+# small trials take vectorized Philox words instead of re-keyed
+# generators, and at 127-129 and 255-257 trials, which take the words too.
 @pytest.mark.parametrize(
     "n, theta, counts",
     [(1, 0.3, (1023, 1024, 1025)), (3, 0.5, (1023, 1024, 1025)),

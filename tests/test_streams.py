@@ -209,10 +209,10 @@ def test_philox_carries_at_all_ones():
 
 
 def test_small_uniform_trials_take_vectorized_words(monkeypatch):
-    # theta from 1/3 on, n up to the ceiling and trials from the floor on:
-    # no generator is re-keyed, and the estimate is the per-trial one.
-    # Past each edge the trials are drawn from re-keyed generators.
-    ceiling, floor = _streams._WORDS_CEILING, _streams._WORDS_FLOOR
+    # theta from 1/3 on and n up to the ceiling, at any trial count: no
+    # generator is re-keyed, and the estimate is the per-trial one.  Past
+    # either edge the trials are drawn from re-keyed generators.
+    ceiling = _streams._WORDS_CEILING
     rekeyed = []
     keyed_streams = _streams.keyed_streams
 
@@ -222,9 +222,9 @@ def test_small_uniform_trials_take_vectorized_words(monkeypatch):
 
     monkeypatch.setattr(_streams, "keyed_streams", counted)
     for n, theta, trials, vectorized in (
-        (ceiling, 1 / 3, floor, True), (1, 1.0, floor + 1, True),
-        (ceiling + 1, 0.5, floor, False), (ceiling, math.nextafter(1 / 3, 0.0), floor, False),
-        (ceiling, 0.5, floor - 1, False),
+        (ceiling, 1 / 3, 256, True), (1, 1.0, 257, True),
+        (ceiling, 0.5, 2, True), (ceiling, 0.5, 255, True),
+        (ceiling + 1, 0.5, 256, False), (ceiling, math.nextafter(1 / 3, 0.0), 256, False),
     ):
         rekeyed.clear()
         estimate = estimate_expected_cover_time(SparsityModel(n, theta), trials, 5)
