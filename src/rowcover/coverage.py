@@ -88,7 +88,8 @@ _DEFAULT_TOL = 1e-10
 _MAX_TAIL_TERMS = 10**8
 
 # phase_sum_raw sums its binomial rows in numpy blocks of at most this many
-# cells (rows x width), which bounds the memory of one call.
+# cells (rows x width), which bounds the memory of one call but for the log
+# branch's table of n + 1 values ln j!.
 _BLOCK_CELLS = 2**13
 
 # phase_sum_raw builds its binomial rows only out to this many standard

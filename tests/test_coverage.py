@@ -649,7 +649,7 @@ def test_phase_sum_raw_refuses_more_than_the_term_ceiling():
     for model in (SparsityModel(14142, 1e-4), SparsityModel(2**1000, 0.5)):
         with pytest.raises(DomainError, match="phase_sum_expectation"):
             phase_sum_raw(model)
-    # At theta = 0.5 n = 14142 builds its last 58 rows, well within the ceiling.
+    # At theta = 0.5 n = 14142 builds its last 57 rows, well within the ceiling.
     model = SparsityModel(14142, 0.5)
     assert phase_sum_raw(model) == pytest.approx(phase_sum_expectation(model), rel=1e-12)
     assert phase_sum_raw(SparsityModel(14142, 1.0)) == 14142.0
