@@ -22,8 +22,9 @@ of indices in one numpy pass (_trial_keys), and a single Philox generator
 is re-keyed for each trial rather than built anew (keyed_streams).  The
 OMF instances take the streams (s, tag) of many sub-seeds s at once from
 spawn_streams, whose keys are hashed in one numpy pass over the seeds
-(_spawn_keys), with the same hash code.  The scheme itself is unchanged; only the cost of
-following it is.
+(_spawn_keys), with the same hash code.  Keys travel in one format, a
+(2, K) uint64 block of first and second key words, a column a key.  The
+scheme itself is unchanged; only the cost of following it is.
 
 A Bernoulli(theta) indicator is Generator.random() < theta at the next
 stream position.  raw_limit turns that into one integer compare of the
@@ -33,8 +34,8 @@ and is the one place a row is paired with its stream.
 
 Cover times are drawn here whole: cover_times gives those of any
 generators, a caller's one stream included, and trial_cover_times those
-of the keyed trials, both mapped through one loop (_mapped).  A cover
-time's variates are drawn and mapped as numpy's geometric sampler does
+of the keyed trials, each the concatenation of its blocks' cover times.  A
+cover time's variates are drawn and mapped as numpy's geometric sampler does
 (_geometric_transform).  A small uniform-branch cover time needs only a
 few raw words, and a re-keyed generator costs more per trial than its
 draws.  So trial_cover_times, for trials of at most _WORDS_CEILING = 20
@@ -55,8 +56,12 @@ _BLOCK_BYTES = 2^18 bytes (256 KiB), and at least one row, so a row past
 the budget is a block of its own (block_rows); blocks draws a call's
 trials through one such buffer.  A cover time's row holds at most 2^15
 variates, the budget's worth of doubles, and a longer trial is drawn in
-chunks of that width (chunked_max).  Streams are per trial, so block
-sizes move memory and speed, never a value.
+chunks of that width (chunked_max).  The vectorized words are the one
+block past the budget: 1,024 keys' words and Philox rounds, whose arrays
+grow with ceil(n/4), peak at about 413 KiB at n = 5-8, 797 KiB at 16 and
+909 KiB at 20 (tracemalloc, a warmed 1,024-trial estimate), under 2^20
+bytes, and at about 221 KiB, under the budget, at n <= 4.  Streams are
+per trial, so block sizes move memory and speed, never a value.
 
 This is the only module that knows how numpy draws.  It copies five numpy
 details, each of which numpy's stream policy (NEP 19) lets change between
@@ -83,7 +88,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from itertools import chain
 
 import numpy as np
 
@@ -324,18 +328,7 @@ def cover_times(theta: float, n: int, count: int, streams) -> np.ndarray:
     draw, cover_time = _geometric_transform(theta)
     draw, width = chunked_max(draw, n)
     tops = (block.max(axis=1) for block in blocks(count, streams, draw, np.float64, width))
-    return _mapped(tops, cover_time, count)
-
-
-def _mapped(tops: Iterable[np.ndarray], cover_time, count: int) -> np.ndarray:
-    # The cover times of count trials, in order, from their largest
-    # variates, which tops yields a block of trials at a time.
-    values = np.empty(count, dtype=np.int64)
-    done = 0
-    for block in tops:
-        values[done:done + len(block)] = cover_time(block)
-        done += len(block)
-    return values
+    return np.concatenate([np.empty(0, np.int64), *map(cover_time, tops)])
 
 
 def _check_draw_size(names: str, *shape: int) -> None:
@@ -412,8 +405,9 @@ def _trial_keys(seed: int, tag: int, start: int, stop: int) -> Iterator[np.ndarr
     the tag word is shared by every t (it is the pool of the sequence with
     spawn_key=(tag,)), and absorbing t and drawing the output words is the
     same arithmetic for each index: one vectorized pass over the block.
-    An index of 2**32 or more is two words long; those indices, which no
-    feasible run reaches, are hashed by SeedSequence itself.
+    An index of 2**32 or more is two words long; those indices, which only
+    a coverage estimate or coverage_experiment past 2**32 trials reaches,
+    are hashed by SeedSequence itself.
     """
     pool = np.random.SeedSequence(entropy=seed, spawn_key=(tag,)).pool.astype(np.uint64)[:, None]
     for low in range(start, stop, _BLOCK):
@@ -426,12 +420,13 @@ def _trial_keys(seed: int, tag: int, start: int, stop: int) -> Iterator[np.ndarr
         yield keys
 
 
-def _spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+def _spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> np.ndarray:
     """Philox keys of spawn_generator(s, tag) for each tag, and each s in seeds within it.
 
-    The key of (s, tag) is SeedSequence(entropy=s, spawn_key=(tag,))
-    .generate_state(2, np.uint64), as a pair of ints.  All of them come
-    from one vectorized pass over the seeds: each seed's entropy words
+    Returns a (len(tags), 2, len(seeds)) uint64 array: one (2, K) block of
+    keys per tag, in order, whose column i is SeedSequence(entropy=seeds[i],
+    spawn_key=(tag,)).generate_state(2, np.uint64).  All of them come from
+    one vectorized pass over the seeds: each seed's entropy words
     [lo, hi, 0, 0] fill and cross-mix its four-word pool, each tag word is
     absorbed into a copy of it, and the output hash makes the keys.
     """
@@ -444,8 +439,7 @@ def _spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> Iterator[tuple[int, 
         step = 4 + 3 * src
         pool[dsts] = _mix(pool[dsts], _hash(pool[src], _HASH_A[step:step + 4]))
     tagged = _absorb(pool, np.array(tags, dtype=np.uint64)[:, None, None], 16)
-    keys = _output_keys(tagged)
-    return zip(keys[:, 0].ravel().tolist(), keys[:, 1].ravel().tolist())
+    return _output_keys(tagged)
 
 
 def _mulhilo(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,8 +499,8 @@ def _philox_words(keys: np.ndarray, n: int) -> np.ndarray:
     return blocks.transpose(1, 0, 2).reshape(4 * count, -1)[:n]
 
 
-def keyed_streams(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
-    """The generators of the Philox keys in keys, in order.
+def keyed_streams(keys: Iterable[np.ndarray]) -> Iterator[np.random.Generator]:
+    """The generators of the Philox keys in keys, (2, K) uint64 blocks, a column a key, in order.
 
     One Philox generator is re-keyed in place for every key: counter
     zero and an empty output buffer, exactly as freshly constructed from
@@ -524,10 +518,11 @@ def keyed_streams(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generat
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key in keys:
-        keyed["key"] = key
-        bit_generator.state = state
-        yield generator
+    for block in keys:
+        for key in block.T.tolist():
+            keyed["key"] = key
+            bit_generator.state = state
+            yield generator
 
 
 def spawn_streams(seeds: list[int], tags: tuple[int, ...]) -> Iterator[np.random.Generator]:
@@ -546,8 +541,7 @@ def trial_streams(seed: int, tag: int, trials: int) -> Iterator[np.random.Genera
     They come from keyed_streams, so a yielded stream is valid only until
     the next one is yielded.
     """
-    keys = _trial_keys(seed, tag, 0, trials)
-    return keyed_streams(chain.from_iterable(zip(*block.tolist()) for block in keys))
+    return keyed_streams(_trial_keys(seed, tag, 0, trials))
 
 
 def trial_cover_times(seed: int, tag: int, theta: float, n: int, count: int) -> np.ndarray:
@@ -562,7 +556,7 @@ def trial_cover_times(seed: int, tag: int, theta: float, n: int, count: int) -> 
     if theta >= _SEARCH_THETA and n <= _WORDS_CEILING:
         tops = ((_philox_words(keys, n).max(axis=0) >> 11) * 2.0**-53
                 for keys in _trial_keys(seed, tag, 0, count))
-        return _mapped(tops, _geometric_transform(theta)[1], count)
+        return np.concatenate([np.empty(0, np.int64), *map(_geometric_transform(theta)[1], tops)])
     return cover_times(theta, n, count, trial_streams(seed, tag, count))
 
 

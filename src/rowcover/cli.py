@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -76,13 +77,12 @@ def _flatten(record: dict) -> dict:
 
 
 def _emit_csv(records: list[dict], out) -> None:
-    # csv writes None as an empty cell and a float as its repr.
+    # The first record's fields, sorted, head every column; csv writes None,
+    # or a field a record lacks, as an empty cell and a float as its repr.
     flats = [_flatten(record) for record in records]
-    fields = sorted(flats[0])
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fields)
-    for flat in flats:
-        writer.writerow([flat.get(field) for field in fields])
+    writer = csv.DictWriter(out, sorted(flats[0]), extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(flats)
 
 
 def _cmd_expect(args: argparse.Namespace) -> list[dict]:
@@ -120,9 +120,14 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
     # The analytic value comes first: it refuses what it cannot compute
     # before any trial is drawn.  E[T] is computed without the reference
     # sums, which simulate does not print.  Where it overflows a double, the
-    # geometric draws clip at the int64 maximum, and the estimate refuses them.
+    # geometric draws would clip at the int64 maximum, so it is refused.
     if args.p is None:
         analytic = _expected_cover_time(model, args.tol)[0]
+        if analytic == math.inf:
+            raise DomainError(
+                f"E[T] overflows a double at theta = {args.theta!r}; its geometric draws "
+                f"would clip at the int64 maximum"
+            )
         estimate = estimate_expected_cover_time(model, args.trials, args.seed)
         parameters = _fields(args, ("n", "theta", "trials", "seed", "tol"))
     else:

@@ -153,7 +153,9 @@ class CoverTimeSummary:
     at most truncation_error_bound, which bounds whichever approximation
     exact_expected_cover_time took: the Euler-Maclaurin remainder
     26 lambda^3 / 720 of the closed form, or the dropped tail
-    n (1-theta)^(T+1) / theta of the direct sum to horizon T.
+    n (1-theta)^(T+1) / theta of the direct sum to horizon T.  The
+    rounding is at most 2 ulp of the value at every closed-form point the
+    tests check against an exact E[T].
     phase_sum is the phase-decomposition upper bound; classic_reference is
     n * H_n, the one-row-per-column baseline.
     """
@@ -225,6 +227,17 @@ def harmonic(n: int) -> float:
     """
     n = _checked_term_count(n)
     return math.fsum(map(truediv, repeat(1, n), range(1, n + 1)))
+
+
+def _check_cells(n: int, first: int, cells: int) -> None:
+    # phase_sum_raw's refusal, before it builds anything: cells is the rows
+    # first .. n-1 times the widest block's width, plus the log branch's table,
+    # which bounds the cells _row_blocks plans.
+    if cells > _MAX_TAIL_TERMS:
+        raise DomainError(
+            f"n = {n} needs more than {_MAX_TAIL_TERMS} binomial terms in the "
+            f"{n - first} rows it builds; use phase_sum_expectation"
+        )
 
 
 def _row_blocks(n: int, width, first: int):
@@ -309,10 +322,11 @@ def _inner_complement_log(n: int, theta: float, log_q: float, first: int) -> lis
     # summed in full with fsum.
     import numpy as np
 
-    log_theta = math.log(theta)
-    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     reach = int(_BAND_SDS * math.sqrt(theta * (1.0 - theta)) * math.sqrt(n - 1)) + 30
     a, b = max(0, int((first + 1) * theta) - reach), min(n, int(n * theta) + reach + 1)
+    _check_cells(n, first, (n - first) * (b - a) + n + 1)
+    log_theta = math.log(theta)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
     def shifted_logs(k0: int, k1: int, a: int, b: int):
         k = np.arange(k0, k1)[:, None]
@@ -371,6 +385,8 @@ def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
         k = k1 - 1
         return min(k1, int(k * theta + spread * math.sqrt(k)) + 11)
 
+    _check_cells(n, first, (n - first) * band_width(n))
+
     def build(k0: int, k1: int, width: int):
         # (k+1) - (r+1) is k - r exactly, so k and r here stand one higher.
         k = np.arange(k0 + 1, k1 + 1, dtype=float)[:, None]
@@ -418,8 +434,10 @@ def phase_sum_raw(model: SparsityModel) -> float:
     join the final fsum as one exact term, their count, and fsum, correctly
     rounded, returns the same double as if each were summed.  lambda is at
     most 36.8 where 1 - theta != 1, so the last row is always built.  The
-    (n(n+1) - first(first+1))/2 terms of the rows built, k = first .. n-1,
-    bound the call: more than 10^8 raise DomainError before any row is built.
+    cells the call may build bound it: the rows built, k = first .. n-1,
+    times the widest block's width, plus, in log space, a table of n + 1
+    values ln j!.  More than 10^8 raise DomainError before any row or the
+    table is built.
 
     The rows are built and summed in numpy blocks of at most 8192 cells,
     each row's terms formed in the order of a per-row recurrence.  Each row
@@ -450,11 +468,6 @@ def phase_sum_raw(model: SparsityModel) -> float:
         raise DomainError(f"1 - theta rounds to 1 at theta = {theta!r}; use phase_sum_expectation")
     log_q = model.log_q
     first = max(0, n + 1 - math.ceil(min(_SKIP_NATS / -log_q, n + 1)))
-    if (n * (n + 1) - first * (first + 1)) // 2 > _MAX_TAIL_TERMS:
-        raise DomainError(
-            f"n = {n} needs more than {_MAX_TAIL_TERMS} binomial terms in the "
-            f"{n - first} rows it builds; use phase_sum_expectation"
-        )
     if n * log_q < _UNDERFLOW_LOG:
         complements = _inner_complement_log(n, theta, log_q, first)
     else:
@@ -537,6 +550,8 @@ def _expected_cover_time(
     lam = -log_q
     remainder = _EM_REMAINDER * lam**3
     if remainder <= tol:
+        if 1.0 / lam == math.inf:  # so does H_n / lam >= 1 / lam: H_n is not summed
+            return math.inf, remainder, None
         d1, d3 = _EM_DERIVATIVES.get(n, (0.0, 0.0))
         h_n = harmonic(n)
         return math.fsum((h_n / lam, 0.5, -d1 * lam / 12.0, d3 * lam**3 / 720.0)), remainder, h_n

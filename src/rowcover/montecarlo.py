@@ -134,8 +134,8 @@ def sample_cover_time(model: SparsityModel, stream: np.random.Generator) -> int:
     numpy release; see the module docstring).  A draw that numpy would
     clip at the int64 maximum raises DomainError rather than returning a
     cover time that is too small, and so does a uniform for which numpy's
-    sampler would never return, and an n past the largest draw numpy can
-    allocate.
+    sampler would never return, and an n of 2^60 or more: no n-long array
+    is drawn, but numpy could not allocate geometric(theta, n) itself.
     """
     _streams._check_draw_size("an n", _checked_model(model).n)
     # numpy loads np.random lazily; importing Generator by name would cost
@@ -196,9 +196,10 @@ def estimate_expected_cover_time(
 ) -> MonteCarloEstimate:
     """Sample mean of `trials` independent cover times with a normal CI.
 
-    An n past the largest draw numpy can allocate raises DomainError before
-    any trial, and so does a trial count past the largest array of cover
-    times (one int64 each) numpy can allocate.
+    An n of 2^60 or more, where numpy could not allocate geometric(theta, n)
+    itself though no n-long array is drawn, raises DomainError before any
+    trial, and so does a trial count past the largest array of cover times
+    (one int64 each) numpy can allocate.
     """
     _checked_model(model)
     trials = checked_int(trials, "trials", 2)  # two, for a confidence interval

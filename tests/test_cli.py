@@ -13,6 +13,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,15 +360,30 @@ def test_simulate_computes_no_reference_sum(capsys, monkeypatch):
     assert parse_json_lines(stdout)[0]["results"]["analytic"] == 3.14285714277
 
 
-def test_simulate_refuses_an_overflowing_cover_time_by_the_clip_check():
-    # E[T] overflows a double at theta = 5e-324; every geometric draw there
-    # clips, and that refusal is the one error line, with no numpy warning.
-    result = run_subprocess(["simulate", "--n", "1", "--theta", "5e-324", "--trials", "10"])
-    stderr = result.stderr.decode()
-    assert result.returncode == 1
-    assert result.stdout == b""
-    assert stderr.count("\n") == 1
-    assert "clips a geometric draw" in stderr and "Warning" not in stderr
+def test_simulate_refuses_an_overflowing_cover_time_before_any_sum_or_draw(capsys, monkeypatch):
+    # E[T] overflows a double where 1/lambda does, as at theta = 1e-310 and
+    # 5e-324, and every geometric draw there would clip.  E[T] is refused
+    # first, in one error line with no warning: H_n is not summed and no
+    # trial key is hashed.
+    from rowcover import _streams, coverage
+
+    def no_work(*args):
+        raise AssertionError("simulate summed H_n or hashed a trial key before its refusal")
+
+    monkeypatch.setattr(coverage, "harmonic", no_work)
+    monkeypatch.setattr(_streams, "_trial_keys", no_work)
+    for n, theta in (("10000000", "1e-310"), ("1", "5e-324")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run_capture(
+                ["simulate", "--n", n, "--theta", theta, "--trials", "2"], capsys
+            )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            f"rowcover: E[T] overflows a double at theta = {float(theta)!r}; its geometric "
+            f"draws would clip at the int64 maximum\n"
+        )
 
 
 def test_simulate_refuses_a_trial_count_numpy_cannot_allocate(capsys):

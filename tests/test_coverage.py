@@ -641,18 +641,48 @@ def test_phase_sum_raw_refuses_unresolvable_complement():
     assert phase_sum_raw(SparsityModel(2, 1e-15)) == 1501199875790165.2
 
 
-def test_phase_sum_raw_refuses_more_than_the_term_ceiling():
-    # Only the terms of the rows built count, row k holding k + 1 of them
-    # and the rows from n - 40/lambda on built.  At theta = 1e-4 n = 14142
-    # builds every row, past 10^8 terms, and at n = 2^1000 its last 57 rows
-    # hold about 2^1000 terms each; the refusal comes before any term.
-    for model in (SparsityModel(14142, 1e-4), SparsityModel(2**1000, 0.5)):
-        with pytest.raises(DomainError, match="phase_sum_expectation"):
+def test_phase_sum_raw_refuses_more_than_the_term_ceiling(monkeypatch):
+    # The ceiling counts the cells a call may build: the rows built times
+    # the widest block's width, the last block's, plus in log space the
+    # n + 1 entries of the ln j! table.  A call at the ceiling returns its
+    # value and one cell more is refused, in the linear branch and in log
+    # space.  So n = 14142 at theta = 1e-4, which builds all its rows but
+    # each over 26 columns, is within it.
+    shapes, ceiling = _counting_row_sums(monkeypatch), coverage._MAX_TAIL_TERMS
+    for n, theta, table in ((14142, 1e-4, 0), (1000, 0.6, 1001)):
+        model = SparsityModel(n, theta)
+        monkeypatch.setattr(coverage, "_MAX_TAIL_TERMS", ceiling)
+        shapes.clear()
+        value = phase_sum_raw(model)
+        cells = _rows_summed(shapes) * shapes[-1][1] + table
+        monkeypatch.setattr(coverage, "_MAX_TAIL_TERMS", cells)
+        assert phase_sum_raw(model) == value
+        monkeypatch.setattr(coverage, "_MAX_TAIL_TERMS", cells - 1)
+        with pytest.raises(DomainError, match=f"needs more than {cells - 1} binomial terms"):
             phase_sum_raw(model)
+    monkeypatch.setattr(coverage, "_MAX_TAIL_TERMS", ceiling)
+    model = SparsityModel(14142, 1e-4)
+    assert phase_sum_raw(model) == 109227.43752267037
+    assert phase_sum_raw(model) == pytest.approx(phase_sum_expectation(model), rel=1e-9)
     # At theta = 0.5 n = 14142 builds its last 57 rows, well within the ceiling.
     model = SparsityModel(14142, 0.5)
     assert phase_sum_raw(model) == pytest.approx(phase_sum_expectation(model), rel=1e-12)
     assert phase_sum_raw(SparsityModel(14142, 1.0)) == 14142.0
+
+
+def test_phase_sum_raw_refuses_before_any_block_or_table(monkeypatch):
+    # Refused by their band cells, 10^7 rows at theta = 1e-4, 57 rows of
+    # about 2^500 columns at n = 2^1000, and by its table alone, one row
+    # and 10^8 + 1 values ln j! near theta = 1: no block is summed and no
+    # ln j! is taken before the refusal.
+    def no_work(*args):
+        raise AssertionError("phase_sum_raw worked before its refusal")
+
+    monkeypatch.setattr(coverage, "_row_sums", no_work)
+    monkeypatch.setattr(math, "lgamma", no_work)
+    for n, theta in ((10**7, 1e-4), (2**1000, 0.5), (10**8, 1 - 1e-15)):
+        with pytest.raises(DomainError, match="binomial terms .* use phase_sum_expectation"):
+            phase_sum_raw(SparsityModel(n, theta))
 
 
 def test_phase_sum_refuses_overflow():
@@ -750,6 +780,36 @@ def test_exact_expectation_closed_form_against_mpmath_oracle():
             value = summary.exact_expectation
             gap = abs(mpmath.mpf(value) - mp_inclusion_exclusion(n, theta))
             assert gap <= summary.truncation_error_bound + 8 * math.ulp(value), (n, theta)
+
+
+def test_every_closed_form_pin_is_within_its_bound_plus_two_ulp():
+    # At every point of analytic_pins.json where exact_expected_cover_time
+    # takes the closed form (theta < 1 and 26 lambda^3 / 720 <= the default
+    # tol), E[T] lies within truncation_error_bound plus 2 ulp of the value:
+    # the rounding that "up to rounding" allows.  The exact E[T] is the
+    # inclusion-exclusion sum for n < 8, and for n >= 8 H_n / lambda + 1/2 at
+    # 50 digits, whose Euler-Maclaurin terms through f^(7) vanish; the
+    # remainder past them is at most |B_8| / 8! 94586 lambda^7 < 1e-21 at
+    # these theta.  The worst point, (4410, 2.54e-6), needs 1.46 ulp.
+    pins = json.loads((DATA_DIR / "analytic_pins.json").read_text(encoding="utf-8"))
+    checked = 0
+    for key, pinned in pins["libm"]["exact_expected_cover_time"].items():
+        n, theta = int(key.split()[0]), float(key.split()[1])
+        if "tol=" in key or pinned.startswith("DomainError") or theta == 1.0:
+            continue
+        if 26 / 720 * (-math.log1p(-theta)) ** 3 > 1e-10:
+            continue
+        summary = exact_expected_cover_time(SparsityModel(n, theta))
+        value = summary.exact_expectation
+        if n < 8:
+            exact = mp_inclusion_exclusion(n, theta)
+        else:
+            with mpmath.workdps(50):
+                exact = mpmath.harmonic(n) / -mpmath.log1p(-mpmath.mpf(theta)) + 0.5
+        gap = abs(mpmath.mpf(value) - exact)
+        assert gap <= summary.truncation_error_bound + 2 * math.ulp(value), (n, theta)
+        checked += 1
+    assert checked == 211
 
 
 def test_exact_expectation_paths_agree_at_crossover():

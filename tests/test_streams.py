@@ -72,12 +72,15 @@ def test_trial_seeds_match_seed_sequence(seed):
 def test_spawn_keys_match_seed_sequence():
     # _spawn_keys hashes a vector of seeds, entropy words and all, where
     # _trial_keys starts from one seed's pool; both copy SeedSequence's hash.
+    # Its keys come as _trial_keys' do, one (2, K) uint64 block per tag.
     tags = (_streams.ORTHOGONAL, _streams.PATTERN, _streams.VALUES)
     random = np.random.default_rng(2024).integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *random.tolist()]
-    keys = list(_streams._spawn_keys(seeds, tags))
+    blocks = _streams._spawn_keys(seeds, tags)
+    assert blocks.dtype == np.uint64 and blocks.shape == (len(tags), 2, len(seeds))
+    keys = [key for block in blocks for key in block.T.tolist()]
     expected = [
-        tuple(np.random.SeedSequence(entropy=s, spawn_key=(tag,)).generate_state(2, np.uint64))
+        np.random.SeedSequence(entropy=s, spawn_key=(tag,)).generate_state(2, np.uint64).tolist()
         for tag in tags for s in seeds
     ]
     mismatched = [i for i, (key, want) in enumerate(zip(keys, expected)) if key != want]
@@ -86,7 +89,6 @@ def test_spawn_keys_match_seed_sequence():
         f"SeedSequence(entropy=s, spawn_key=(tag,)).generate_state(2, np.uint64) at "
         f"{[(tags[i // len(seeds)], seeds[i % len(seeds)]) for i in mismatched[:5]]}"
     )
-    assert all(type(word) is int for key in keys[:3] for word in key)
 
 
 def test_spawn_streams_draw_like_fresh_ones():
