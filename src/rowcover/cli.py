@@ -77,10 +77,10 @@ def _flatten(record: dict) -> dict:
 
 
 def _emit_csv(records: list[dict], out) -> None:
-    # The first record's fields, sorted, head every column; csv writes None,
-    # or a field a record lacks, as an empty cell and a float as its repr.
+    # Every record of a command has the same fields; csv writes None as an
+    # empty cell and a float as its repr.
     flats = [_flatten(record) for record in records]
-    writer = csv.DictWriter(out, sorted(flats[0]), extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(out, sorted(flats[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(flats)
 
