@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -123,11 +122,8 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
     # geometric draws would clip at the int64 maximum, so it is refused.
     if args.p is None:
         analytic = _expected_cover_time(model, args.tol)[0]
-        if analytic == math.inf:
-            raise DomainError(
-                f"E[T] overflows a double at theta = {args.theta!r}; its geometric draws "
-                f"would clip at the int64 maximum"
-            )
+        if analytic == float("inf"):
+            raise DomainError(f"E[T] overflows a double at theta = {args.theta!r}")
         estimate = estimate_expected_cover_time(model, args.trials, args.seed)
         parameters = _fields(args, ("n", "theta", "trials", "seed", "tol"))
     else:
