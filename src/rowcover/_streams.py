@@ -519,7 +519,7 @@ def keyed_streams(keys: Iterable[np.ndarray]) -> Iterator[np.random.Generator]:
         "uinteger": 0,
     }
     for block in keys:
-        for key in block.T.tolist():
+        for key in zip(*block.tolist()):
             keyed["key"] = key
             bit_generator.state = state
             yield generator
