@@ -10,6 +10,11 @@ kernel from the CPU when it loads, and LAPACK's QR and dgemm round
 differently per kernel, so the orthogonal factor V and the product Y of an
 OMF instance, and the defects printed from them, hold only on the kernel
 they were recorded on.
+
+numpy_note() names the numpy release the stream pins were recorded on and
+the one running now: numpy's stream policy (NEP 19) lets SeedSequence,
+Philox and the geometric sampler change between releases, and with them
+every drawn value.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 from pathlib import Path
 
 RECORDED_BLAS_CORE = "SkylakeX"
+RECORDED_NUMPY = "2.4.6"
 
 
 def blas_core() -> str | None:
@@ -44,6 +50,13 @@ def blas_core() -> str | None:
 def blas_note() -> str:
     """Where a BLAS-dependent pin was recorded and where it now runs."""
     return f"recorded on {RECORDED_BLAS_CORE}, running on {blas_core() or 'an unnamed BLAS'}"
+
+
+def numpy_note() -> str:
+    """Which numpy release the stream pins were recorded on and which one runs now."""
+    import numpy
+
+    return f"recorded on numpy {RECORDED_NUMPY}, running on numpy {numpy.__version__}"
 
 
 def _flat(pins: dict, prefix: str = "") -> dict[str, object]:
