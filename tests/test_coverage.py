@@ -812,6 +812,61 @@ def test_every_closed_form_pin_is_within_its_bound_plus_two_ulp():
     assert checked == 211
 
 
+def mp_tail_sum(n: int, theta: float, digits: int) -> mpmath.mpf:
+    """E[T] = sum over t >= 0 of 1 - (1 - q^t)^n, q = 1 - theta, within 10^-digits relative.
+
+    Each t whose n q^t exceeds digits ln 10 adds 1 within 10^-digits, since
+    (1 - x)^n <= exp(-n x), so those t are counted.  The next terms are
+    summed directly while n q^t > 1/8.  From there the rest is
+    sum over k of (-1)^(k+1) C(n, k) q^(kt) / (1 - q^k), the binomial
+    expansion summed over t as geometric series: alternating, each term
+    below n q^t times the last, so it stops at the first under 10^-digits.
+    """
+    with mpmath.workdps(digits):
+        q = 1 - mpmath.mpf(theta)  # exact: a double in [2^-10, 1) needs at most 63 bits
+        head = mpmath.log(n / (digits * mpmath.ln10)) / -mpmath.log(q)
+        head = max(0, int(mpmath.floor(head)))
+        total, x = mpmath.mpf(head), q**head
+        while n * x > 0.125:
+            total += 1 - (1 - x) ** n
+            x *= q
+        eps = mpmath.mpf(10) ** -digits * total
+        k, binomial, x_k, q_k = 1, mpmath.mpf(n), x, q
+        while (term := binomial * x_k / (1 - q_k)) >= eps:
+            total += term if k % 2 else -term
+            k += 1
+            binomial *= mpmath.mpf(n - k + 1) / k
+            x_k, q_k = x_k * x, q_k * q
+        return total
+
+
+def test_every_tail_sum_pin_is_within_its_bound_plus_two_ulp():
+    # The tail-sum half of the check above: at every point of
+    # analytic_pins.json where exact_expected_cover_time sums the tail
+    # directly (theta < 1 and 26 lambda^3 / 720 above the tol), E[T] lies
+    # within truncation_error_bound plus 2 ulp of the value, E[T] taken from
+    # mp_tail_sum at 30 digits.  That is the 126 points at the default tol
+    # and the one at tol = 4.3e-91; the worst, (62, 0.486), needs 1.13 ulp.
+    # Left out: the five points at theta = 1, whose E[T] is exactly 1 with a
+    # bound of 0, and the eight refused ones (n = 10^8 + 1, the overflowing
+    # theta and the refused tols), which have no value.
+    pins = json.loads((DATA_DIR / "analytic_pins.json").read_text(encoding="utf-8"))
+    checked = 0
+    for key, pinned in pins["libm"]["exact_expected_cover_time"].items():
+        n, theta, *tol = key.replace("tol=", "").split()
+        n, theta, tol = int(n), float(theta), float(tol[0]) if tol else 1e-10
+        if pinned.startswith("DomainError") or theta == 1.0:
+            continue
+        if 26 / 720 * (-math.log1p(-theta)) ** 3 <= tol:
+            continue
+        summary = exact_expected_cover_time(SparsityModel(n, theta), tol)
+        value = summary.exact_expectation
+        gap = abs(mpmath.mpf(value) - mp_tail_sum(n, theta, 30))
+        assert gap <= summary.truncation_error_bound + 2 * math.ulp(value), (n, theta, tol)
+        checked += 1
+    assert checked == 127
+
+
 def test_exact_expectation_paths_agree_at_crossover():
     # At theta = 1e-3 the default tol takes the Euler-Maclaurin closed form
     # (remainder bound 26 lambda^3 / 720 ~ 3.6e-11) and tol = 1e-12 the
