@@ -30,7 +30,11 @@ A Bernoulli(theta) indicator is Generator.random() < theta at the next
 stream position.  raw_limit turns that into one integer compare of the
 raw Philox word, so pattern_draw draws patterns with random_raw and no
 doubles.  fill draws each row of a stacked buffer from the next stream,
-and is the one place a row is paired with its stream.
+and is the one place a row is paired with its stream.  A ufunc called once
+a trial, as the pattern compare is, has arrays for operands, never numpy
+scalars: numpy combines a 0-d array with an array faster than it does a
+numpy scalar, so the pattern limit, like the hash constants, is a 0-d
+uint64 array.
 
 Cover times are drawn here whole: cover_times gives those of any
 generators, a caller's one stream included, and trial_cover_times those
@@ -56,12 +60,17 @@ _BLOCK_BYTES = 2^18 bytes (256 KiB), and at least one row, so a row past
 the budget is a block of its own (block_rows); blocks draws a call's
 trials through one such buffer.  A cover time's row holds at most 2^15
 variates, the budget's worth of doubles, and a longer trial is drawn in
-chunks of that width (chunked_max).  The vectorized words are the one
-block past the budget: 1,024 keys' words and Philox rounds, whose arrays
-grow with ceil(n/4), peak at about 413 KiB at n = 5-8, 797 KiB at 16 and
+chunks of that width (chunked_max).  Two draws go past the budget.  The
+vectorized words, 1,024 keys' words and Philox rounds, whose arrays grow
+with ceil(n/4), peak at about 413 KiB at n = 5-8, 797 KiB at 16 and
 909 KiB at 20 (tracemalloc, a warmed 1,024-trial estimate), under 2^20
-bytes, and at about 221 KiB, under the budget, at n <= 4.  Streams are
-per trial, so block sizes move memory and speed, never a value.
+bytes, and at about 221 KiB, under the budget, at n <= 4.  And
+pattern_draw takes a trial's n x p raw words, 8 bytes an indicator,
+beside the block's bools, so a coverage estimate holds one block plus one
+trial's words, and while it draws a block, its key block's hash, about
+140 bytes a key: a warmed estimate peaks at about 388 KB at (100, 134)
+with 200 trials, 904 KB at (300, 300) and 2.36 MB at (1000, 262).  Streams
+are per trial, so block sizes move memory and speed, never a value.
 
 This is the only module that knows how numpy draws.  It copies five numpy
 details, each of which numpy's stream policy (NEP 19) lets change between
@@ -199,11 +208,14 @@ def pattern_draw(theta: float):
 
     out is a bool array, set to stream.random(out.shape) < theta as that
     many raw words at most raw_limit(theta), from the same stream positions.
+    The draw runs once a trial, so its compare takes arrays only: the limit
+    is held as a 0-d uint64 array, which numpy compares with the words
+    faster than a numpy scalar, and out is passed positionally.
     """
-    limit = raw_limit(theta)
+    limit = np.array(raw_limit(theta))
 
     def draw(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return np.less_equal(stream.bit_generator.random_raw(out.shape), limit, out=out)
+        return np.less_equal(stream.bit_generator.random_raw(out.shape), limit, out)
 
     return draw
 

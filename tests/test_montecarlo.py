@@ -535,6 +535,25 @@ def test_coverage_rejects_bad_arguments():
         estimate_coverage_probability(model, 3, 0, 0)
 
 
+def test_coverage_memory_is_one_block_and_one_trials_words():
+    # A call stacks block_rows trials' bool patterns in one block and draws
+    # each trial as n x p raw words, 8 bytes an indicator, beside it; while a
+    # block is drawn, its key block's hash holds about 140 bytes a key.  So
+    # the words alone are past the 2^18-byte budget at (300, 300): about
+    # 904 KB in all.  Allowed on top: 160 bytes a key and 16 KiB.
+    for n, p, trials, theta in ((10, 13, 1024, 0.3), (100, 134, 200, 0.05), (300, 300, 3, 0.02)):
+        model = SparsityModel(n, theta)
+        estimate_coverage_probability(model, p, trials, 0)
+        tracemalloc.start()
+        try:
+            estimate_coverage_probability(model, p, trials, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = _streams.block_rows(n * p, trials) * n * p
+        assert peak <= block + 8 * n * p + 160 * min(trials, 1024) + 2**14, (n, p)
+
+
 def test_pattern_numpy_cannot_allocate_is_refused():
     # numpy itself would raise a bare ValueError for either shape: a p past
     # the largest intp, or n x p float64 draws of more bytes than an intp holds.
