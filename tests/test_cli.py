@@ -37,6 +37,19 @@ GOLDEN_COMMANDS = {
     "omf": ["omf", "--n", "3", "--theta", "0.5", "--p", "6", "--trials", "500", "--seed", "9"],
 }
 
+# Record modes the command goldens miss: a simulate record that leaves out
+# --tol, and sweep records that each carry their grid point's n and theta.
+RECORD_GOLDENS = {
+    "simulate_coverage": [
+        "simulate", "--n", "3", "--theta", "0.5", "--p", "3", "--trials", "1000", "--seed", "42",
+    ],
+    "sweep_grid": [
+        "sweep", "--n", "2,3", "--theta", "0.5,0.9",
+        "--p-min", "1", "--p-max", "2", "--trials", "200", "--seed", "7",
+    ],
+}
+GOLDENS = {**GOLDEN_COMMANDS, **RECORD_GOLDENS}
+
 
 def run_capture(args: list[str], capsys) -> tuple[int, str, str]:
     code = run(args)
@@ -433,6 +446,16 @@ def test_omf_out_dump_round_trips(tmp_path, capsys):
     assert np.count_nonzero(instance.x) >= 1
 
 
+def test_omf_parameters_are_its_flags(tmp_path, capsys):
+    # --out appears among the parameters only when it is given.
+    args = ["omf", "--n", "2", "--theta", "0.5", "--p", "3", "--trials", "5"]
+    for extra, keys in (([], set()), (["--out", str(tmp_path / "x.txt")], {"out"})):
+        code, out, err = run_capture([*args, *extra], capsys)
+        assert code == 0, err
+        (record,) = parse_json_lines(out)
+        assert set(record["parameters"]) == {"n", "theta", "p", "trials", "seed", *keys}
+
+
 def test_analytic_commands_do_not_load_numpy():
     # expect, bounds and threshold are scalar math; numpy loads with
     # montecarlo and omf only.  At theta = 1e-4 expect takes the closed form,
@@ -460,13 +483,11 @@ def test_analytic_commands_do_not_load_numpy():
 # ------------------------------------------------------------ golden files
 
 
-@pytest.mark.parametrize(
-    "golden", sorted(GOLDEN_COMMANDS) + [f"{name}.csv" for name in sorted(GOLDEN_COMMANDS)]
-)
+@pytest.mark.parametrize("golden", sorted(GOLDENS) + [f"{name}.csv" for name in sorted(GOLDENS)])
 def test_golden_output(golden):
     # <name>.golden pins the JSON output, <name>.csv.golden the CSV output.
     name, _, encoding = golden.partition(".")
-    args = GOLDEN_COMMANDS[name] + (["--format", encoding] if encoding else [])
+    args = GOLDENS[name] + (["--format", encoding] if encoding else [])
     result = run_subprocess(args)
     assert result.returncode == 0, result.stderr.decode()
     # omf prints defects of V and Y, whose bits come from the BLAS kernel.
