@@ -418,8 +418,9 @@ def _trial_keys(seed: int, tag: int, start: int, stop: int) -> Iterator[np.ndarr
     spawn_key=(tag,)), and absorbing t and drawing the output words is the
     same arithmetic for each index: one vectorized pass over the block.
     An index of 2**32 or more is two words long; those indices, which only
-    a coverage estimate or coverage_experiment past 2**32 trials reaches,
-    are hashed by SeedSequence itself.
+    a coverage estimate or coverage_experiment past 2**32 trials and
+    phase_sweep's sub-seeds at p >= 2**32 reach, are hashed by SeedSequence
+    itself.
     """
     pool = np.random.SeedSequence(entropy=seed, spawn_key=(tag,)).pool.astype(np.uint64)[:, None]
     for low in range(start, stop, _BLOCK):

@@ -7,6 +7,13 @@ nested keys flattened as `parameters.n`, `results.mean`, ...).  Reals are
 printed with 12 significant digits, which round-trips doubles without
 noise digits, so fixed inputs give byte-identical output across runs.
 
+A record's parameters are the command's flags as parsed, less --format
+and any flag left unset; its results are the fields of the result the
+command computed.  Two records differ from their flags: a `simulate --p`
+record leaves out --tol, which coverage mode does not use, and each
+`sweep` record carries its own point's n, theta and p in place of the
+grid's lists and p range.
+
 Randomized subcommands default to seed 0; no seed is ever derived from
 the clock.  Their handlers import montecarlo and omf when they run, so
 `expect`, `bounds` and `threshold` start without loading numpy.  Exit
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -37,8 +45,6 @@ __all__ = ["run", "main", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
 
-_ESTIMATE = ("mean", "std_error", "ci_low", "ci_high")
-
 
 def _value(value):
     # The one place reals are rounded, to the 12 significant digits that
@@ -49,17 +55,24 @@ def _value(value):
     return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
-def _record(command: str, parameters: dict, results: dict) -> dict:
+def _record(args: argparse.Namespace, results: dict, **changes) -> dict:
+    # The parameters are the parsed flags with changes applied, less
+    # --format and any whose value is None.
+    parameters = {**vars(args), **changes}
     return {
-        "command": command,
-        "parameters": {key: _value(value) for key, value in parameters.items()},
+        "command": args.command,
+        "parameters": {
+            key: _value(value) for key, value in parameters.items()
+            if key not in ("command", "handler", "format") and value is not None
+        },
         "results": {key: _value(value) for key, value in results.items()},
         "schema_version": SCHEMA_VERSION,
     }
 
 
-def _fields(source, names: Sequence[str]) -> dict:
-    return {name: getattr(source, name) for name in names}
+def _fields(result, *skip: str) -> dict:
+    names = [field.name for field in dataclasses.fields(result) if field.name not in skip]
+    return {name: getattr(result, name) for name in names}
 
 
 def _emit_json(records: list[dict], out) -> None:
@@ -86,19 +99,12 @@ def _emit_csv(records: list[dict], out) -> None:
 
 def _cmd_expect(args: argparse.Namespace) -> list[dict]:
     summary = exact_expected_cover_time(SparsityModel(args.n, args.theta), args.tol)
-    results = _fields(
-        summary, ("exact_expectation", "phase_sum", "classic_reference", "truncation_error_bound")
-    )
-    return [_record("expect", _fields(args, ("n", "theta", "tol")), results)]
+    return [_record(args, _fields(summary))]
 
 
 def _cmd_bounds(args: argparse.Namespace) -> list[dict]:
     report = bound_report(SparsityModel(args.n, args.theta))
-    results = _fields(report, (
-        "theorem_bound", "simple_lower_bound", "digamma_bound", "digamma_approx_bound",
-        "small_theta_bound", "phase_sum", "exact_expectation",
-    ))
-    return [_record("bounds", _fields(args, ("n", "theta")), results)]
+    return [_record(args, _fields(report, "model"))]
 
 
 def _cmd_threshold(args: argparse.Namespace) -> list[dict]:
@@ -109,7 +115,7 @@ def _cmd_threshold(args: argparse.Namespace) -> list[dict]:
         "coverage_at_p_star": coverage_probability(model, p_star),
         "coverage_below_p_star": coverage_probability(model, p_star - 1),
     }
-    return [_record("threshold", _fields(args, ("n", "theta", "delta")), results)]
+    return [_record(args, results)]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
@@ -125,13 +131,12 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
         if analytic == float("inf"):
             raise DomainError(f"E[T] overflows a double at theta = {args.theta!r}")
         estimate = estimate_expected_cover_time(model, args.trials, args.seed)
-        parameters = _fields(args, ("n", "theta", "trials", "seed", "tol"))
     else:
         analytic = coverage_probability(model, args.p)
         estimate = estimate_coverage_probability(model, args.p, args.trials, args.seed)
-        parameters = _fields(args, ("n", "theta", "p", "trials", "seed"))
-    results = {**_fields(estimate, _ESTIMATE), "analytic": analytic}
-    return [_record("simulate", parameters, results)]
+    results = {**_fields(estimate, "trials", "seed"), "analytic": analytic}
+    # Coverage mode does not use --tol, so its record leaves it out.
+    return [_record(args, results, tol=args.tol if args.p is None else None)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> list[dict]:
@@ -143,15 +148,14 @@ def _cmd_sweep(args: argparse.Namespace) -> list[dict]:
             model = SparsityModel(n, theta)
             curve = phase_sweep(model, args.p_min, args.p_max, args.trials, args.seed)
             for point in curve.points:
-                parameters = {
-                    "n": n, "theta": theta, "p": point.p, "trials": args.trials, "seed": args.seed,
-                }
                 results = {
-                    **_fields(point.empirical, _ESTIMATE),
+                    **_fields(point.empirical, "trials", "seed"),
                     "analytic": point.analytic,
                     "subseed": point.empirical.seed,
                 }
-                records.append(_record("sweep", parameters, results))
+                records.append(_record(
+                    args, results, n=n, theta=theta, p=point.p, p_min=None, p_max=None
+                ))
     return records
 
 
@@ -177,23 +181,22 @@ def _cmd_omf(args: argparse.Namespace) -> list[dict]:
     instance = assemble_instance(args.n, args.p, args.theta, args.seed)
     report = row_coverage_check(instance.x)
     experiment = coverage_experiment(args.n, args.theta, args.p, args.trials, args.seed)
-    parameters = _fields(args, ("n", "theta", "p", "trials", "seed"))
     if args.out is not None:
         try:
             write_instance(instance, args.out)
         except OSError:
             raise DomainError(f"cannot write the instance to {args.out}") from None
-        parameters["out"] = args.out
     results = {
         "covered": report.covered,
         "uncovered_row_count": len(report.uncovered_rows),
-        **_fields(
-            instance, ("orthogonality_error", "reconstruction_error", "norm_preservation_error")
-        ),
-        **_fields(experiment, _ESTIMATE),
+        # Derived attributes of the instance, not dataclass fields.
+        "orthogonality_error": instance.orthogonality_error,
+        "reconstruction_error": instance.reconstruction_error,
+        "norm_preservation_error": instance.norm_preservation_error,
+        **_fields(experiment, "trials", "seed"),
         "analytic": coverage_probability(SparsityModel(args.n, args.theta), args.p),
     }
-    return [_record("omf", parameters, results)]
+    return [_record(args, results)]
 
 
 def _list_of(kind: type, noun: str):

@@ -222,11 +222,15 @@ def estimate_coverage_probability(
     array numpy can allocate raises DomainError.  Trials are drawn into a
     stacked block of at most 1,024 patterns and 2^18 indicators (a larger
     pattern is a block of its own) and counted one reduction per block.
+    At p = 0 no pattern of n >= 1 rows is covered, so the estimate of 0
+    hits is returned before any trial key is hashed.
     """
     _checked_model(model)
     p = checked_int(p, "p", 0)
     trials = checked_int(trials, "trials", 1)
     seed = _streams.checked_seed(seed)
+    if p == 0:
+        return _proportion_estimate(0, trials, seed)
     n = model.n
     _streams._check_draw_size("an n x p", n, p)
     streams = _streams.trial_streams(seed, _streams.COVERAGE_TRIAL, trials)

@@ -501,6 +501,20 @@ def test_coverage_trivial_cases():
     assert empty.ci_low == 0.0
 
 
+def test_coverage_at_p_zero_hashes_no_trial_key(monkeypatch):
+    # With no columns every row of every pattern is empty, so the 0-hit
+    # estimate is known without a trial, at any trial count.
+    def no_keys(*args):
+        raise AssertionError("a trial key was hashed for a p = 0 estimate")
+
+    monkeypatch.setattr(_streams, "_trial_keys", no_keys)
+    for n, theta, trials in ((2, 0.5, 1024), (10, 0.3, 10000), (1, 1.0, 2**64)):
+        estimate = estimate_coverage_probability(SparsityModel(n, theta), 0, trials, 7)
+        assert (estimate.mean, estimate.std_error, estimate.ci_low) == (0.0, 0.0, 0.0)
+        assert 0.0 < estimate.ci_high < 4.0 / trials
+        assert (estimate.trials, estimate.seed) == (trials, 7)
+
+
 def test_coverage_three_of_three_half_density():
     estimate = estimate_coverage_probability(SparsityModel(3, 0.5), 3, 100000, 9)
     truth = float(Fraction(343, 512))
