@@ -38,7 +38,8 @@ GOLDEN_COMMANDS = {
 }
 
 # Record modes the command goldens miss: a simulate record that leaves out
-# --tol, and sweep records that each carry their grid point's n and theta.
+# --tol, and sweep records that each carry their grid point's n, theta and p
+# in place of the grid's lists and p range.
 RECORD_GOLDENS = {
     "simulate_coverage": [
         "simulate", "--n", "3", "--theta", "0.5", "--p", "3", "--trials", "1000", "--seed", "42",
