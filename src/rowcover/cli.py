@@ -10,9 +10,9 @@ noise digits, so fixed inputs give byte-identical output across runs.
 A record's parameters are the command's flags as parsed, less --format
 and any flag left unset; its results are the fields of the result the
 command computed.  Two records differ from their flags: a `simulate --p`
-record leaves out --tol, which coverage mode does not use, and each
-`sweep` record carries its own point's n, theta and p in place of the
-grid's lists and p range.
+record leaves out --tol, which coverage mode checks but does not use,
+and each `sweep` record carries its own point's n, theta and p in place
+of the grid's lists and p range.
 
 Randomized subcommands default to seed 0; no seed is ever derived from
 the clock.  Their handlers import montecarlo and omf when they run, so
@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 from .bounds import bound_report
 from .coverage import (
     SparsityModel,
+    _checked_tol,
     _expected_cover_time,
     coverage_probability,
     coverage_threshold,
@@ -132,6 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
             raise DomainError(f"E[T] overflows a double at theta = {args.theta!r}")
         estimate = estimate_expected_cover_time(model, args.trials, args.seed)
     else:
+        _checked_tol(args.tol)  # unused here, but a malformed one is refused as in E[T] mode
         analytic = coverage_probability(model, args.p)
         estimate = estimate_coverage_probability(model, args.p, args.trials, args.seed)
     results = {**_fields(estimate, "trials", "seed"), "analytic": analytic}

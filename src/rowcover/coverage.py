@@ -36,9 +36,11 @@ raise DomainError on invalid input.
 
 phase_sum_raw builds its binomial rows in numpy blocks, each only near
 the rows' modes, with a certified bound on the cells it leaves out, and
-builds no row whose wait is exactly 1.0 (see its docstring).  numpy is
-imported only there.  Everything else here, and the bounds module built
-on it, runs without loading numpy.
+builds no row whose wait is exactly 1.0 (see its docstring).  A linear
+call whose whole rows hold at most _PYTHON_ROW_CELLS = 512 cells builds
+them in Python floats instead.  numpy is imported only for the blocks.
+Everything else here, and the bounds module built on it, runs without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -91,6 +93,13 @@ _MAX_TAIL_TERMS = 10**8
 # cells (rows x width), which bounds the memory of one call but for the log
 # branch's table of n + 1 values ln j!.
 _BLOCK_CELLS = 2**13
+
+# A linear-branch phase_sum_raw call whose whole rows, sum over k = first ..
+# n-1 of k + 1 cells, number at most this builds them in Python floats.
+# Python rows cost about 0.12 us a cell and numpy blocks about 55 us a call
+# plus 0.03 us a cell (BENCH_35.json, one pinned Xeon core), so the two
+# cross near 600 cells.
+_PYTHON_ROW_CELLS = 512
 
 # phase_sum_raw builds its binomial rows only out to this many standard
 # deviations past their modes, plus a few cells, and its log rows call
@@ -195,6 +204,14 @@ def _finite_sum(terms, what: str, theta: float) -> float:
     if not math.isfinite(total):
         raise DomainError(f"{what} overflows a double at theta = {theta!r}")
     return total
+
+
+def _checked_tol(tol: object) -> float:
+    # An error tolerance, refused unless a positive finite real.
+    tol = checked_real(tol, "tol")
+    if not tol > 0.0 or not math.isfinite(tol):
+        raise DomainError(f"tol must be a positive finite float, got {tol!r}")
+    return tol
 
 
 def _checked_term_count(n: object) -> int:
@@ -360,11 +377,26 @@ def _inner_complement_log(n: int, theta: float, log_q: float, first: int) -> lis
     return complements
 
 
+def _linear_row(k: int, q_n: float, ratio: float) -> list[float]:
+    # Row k's k + 1 terms, term_0 = q_n and term_r = term_{r-1} * ((k+1-r)/r
+    # * ratio): the IEEE operations of _inner_complement_linear's build, in
+    # its order, so the cells have its bits.
+    term = q_n
+    terms = [term]
+    for r in range(1, k + 1):
+        term *= (k + 1 - r) / r * ratio
+        terms.append(term)
+    return terms
+
+
 def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
     # The same complements from term_0 = (1-theta)^n and the ratio recurrence
     # term_{r+1} = term_r * (k-r)/(r+1) * theta/(1-theta).  In the blocks,
     # np.multiply.accumulate takes a row's products in order from r = 0, and
-    # the factor is 0 past r = k, so a row's later cells are 0.
+    # the factor is 0 past r = k, so a row's later cells are 0.  A call whose
+    # whole rows hold at most _PYTHON_ROW_CELLS cells builds each row with
+    # _linear_row and sums it with fsum, without numpy; so does a block's
+    # row that fails its certificate.
     #
     # A block is built only to the column c = min(k, floor(k theta + 12 sd)
     # + 10) of its last row k, sd = sqrt(k theta (1-theta)).  Past c the
@@ -374,11 +406,14 @@ def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
     # cell for products that underflow).  A row k <= c leaves none out, and
     # its bound is exactly 0.  A row with g >= 1 gets an infinite bound, so
     # it is summed in full.
-    import numpy as np
-
     q = 1.0 - theta
     ratio = theta / q
     q_n = q**n
+    if (n * (n + 1) - first * (first + 1)) // 2 <= _PYTHON_ROW_CELLS:
+        return [1.0 - math.fsum(_linear_row(k, q_n, ratio)) for k in range(first, n)]
+
+    import numpy as np
+
     spread = _BAND_SDS * math.sqrt(theta * q)
 
     def band_width(k1: int) -> int:
@@ -396,9 +431,6 @@ def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
         terms[:, 1:] = np.maximum(k - r, 0.0) / r * ratio
         return np.multiply.accumulate(terms, axis=1, out=terms)
 
-    def full_row(k: int) -> list[float]:
-        return build(k, k + 1, k + 1)[0].tolist()
-
     complements = []
     for k0, k1, width in _row_blocks(n, band_width, first):
         terms = build(k0, k1, width)
@@ -409,7 +441,7 @@ def _inner_complement_linear(n: int, theta: float, first: int) -> list[float]:
             (terms[:, -1] * g + skipped * 5e-324) * (1.0 + 2.0**-49), room,
             out=np.full(k1 - k0, math.inf), where=room > 0.0,
         )
-        sums = _row_sums(terms, tail, lambda i: full_row(k0 + i))
+        sums = _row_sums(terms, tail, lambda i: _linear_row(k0 + i, q_n, ratio))
         complements += [1.0 - total for total in sums]
     return complements
 
@@ -439,8 +471,12 @@ def phase_sum_raw(model: SparsityModel) -> float:
     values ln j!.  More than 10^8 raise DomainError before any row or the
     table is built.
 
-    The rows are built and summed in numpy blocks of at most 8192 cells,
-    each row's terms formed in the order of a per-row recurrence.  Each row
+    A linear call whose whole rows, k + 1 cells each, hold at most 512
+    cells all told builds each row in Python floats by the recurrence and
+    sums it with math.fsum, without loading numpy; below that numpy's fixed
+    cost per block outweighs the row loops.  Every other call builds and
+    sums its rows in numpy blocks of at most 8192 cells, each row's terms
+    formed in the order of the same per-row recurrence.  Each block row's
     sum is the correctly rounded one that math.fsum gives: an error-free
     split certifies it, and the rare row it cannot certify, next to a
     rounding midpoint, goes to fsum.  Row k is a binomial(k, theta)
@@ -539,9 +575,7 @@ def _expected_cover_time(
     # made here, in the documented order; where E[T] overflows, the value
     # returned is inf.
     _checked_model(model)
-    tol = checked_real(tol, "tol")
-    if not tol > 0.0 or not math.isfinite(tol):
-        raise DomainError(f"tol must be a positive finite float, got {tol!r}")
+    tol = _checked_tol(tol)
     n, theta = _checked_term_count(model.n), model.theta
     if theta == 1.0:  # the t = 0 term would be exp(0 * -inf) = nan
         return 1.0, 0.0, None

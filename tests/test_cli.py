@@ -226,6 +226,27 @@ def test_simulate_coverage_mode(capsys):
     assert 0.0 <= record["results"]["mean"] <= 1.0
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_simulate_refuses_a_malformed_tol_in_both_modes(tol, capsys, monkeypatch):
+    # Coverage mode does not use --tol, but refuses a malformed one as E[T]
+    # mode does, in the same message, before any trial is drawn.
+    from rowcover import montecarlo
+
+    def no_trials(*args):
+        raise AssertionError("trials were sampled before --tol was refused")
+
+    monkeypatch.setattr(montecarlo, "estimate_coverage_probability", no_trials)
+    monkeypatch.setattr(montecarlo, "estimate_expected_cover_time", no_trials)
+    for mode in ([], ["--p", "3"]):
+        code, stdout, stderr = run_capture(
+            ["simulate", "--n", "3", "--theta", "0.5", *mode, "--trials", "10", "--tol", tol],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"rowcover: tol must be a positive finite float, got {float(tol)!r}\n"
+
+
 def test_default_seed_is_zero(capsys):
     explicit = run_capture(
         ["simulate", "--n", "2", "--theta", "0.5", "--trials", "50", "--seed", "0"], capsys

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -415,17 +416,43 @@ def _rows_built(n, theta):
     return sum(1 for m in range(1, n + 1) if m * lam < 40.0)
 
 
+class _SummedRows:
+    # The rows phase_sum_raw sums: blocks holds the (rows, width) shapes of
+    # the numpy blocks passed to coverage._row_sums, and rows the lengths of
+    # the whole linear rows that coverage._linear_row builds for a Python
+    # call.  A row _linear_row rebuilds inside _row_sums, for a block row
+    # that fails its certificate, is counted in its block only.
+    def __init__(self):
+        self.blocks, self.rows = [], []
+
+    def clear(self):
+        self.blocks.clear()
+        self.rows.clear()
+
+    def total(self):
+        return sum(rows for rows, _ in self.blocks) + len(self.rows)
+
+
 def _counting_row_sums(monkeypatch):
-    # The (rows, width) shapes of the blocks passed to coverage._row_sums.
-    shapes, row_sums = [], coverage._row_sums
-    monkeypatch.setattr(
-        coverage, "_row_sums", lambda block, *rest: shapes.append(block.shape) or row_sums(block, *rest)
-    )
-    return shapes
+    summed, row_sums, linear_row = _SummedRows(), coverage._row_sums, coverage._linear_row
+    inside = []
 
+    def counting_row_sums(block, *rest):
+        summed.blocks.append(block.shape)
+        inside.append(block)
+        try:
+            return row_sums(block, *rest)
+        finally:
+            inside.pop()
 
-def _rows_summed(shapes):
-    return sum(rows for rows, _ in shapes)
+    def counting_linear_row(k, *rest):
+        if not inside:
+            summed.rows.append(k + 1)
+        return linear_row(k, *rest)
+
+    monkeypatch.setattr(coverage, "_row_sums", counting_row_sums)
+    monkeypatch.setattr(coverage, "_linear_row", counting_linear_row)
+    return summed
 
 
 def test_phase_sum_raw_rows_that_fail_the_band_are_summed_in_full(monkeypatch):
@@ -449,7 +476,7 @@ def test_phase_sum_raw_rows_that_fail_the_band_are_summed_in_full(monkeypatch):
         rows.clear()
         for point in points:
             assert phase_sum_raw(SparsityModel(*point)) == pins[point], point
-        return len(fsums) - len(points), _rows_summed(rows) - sum(_rows_built(*point) for point in points)
+        return len(fsums) - len(points), rows.total() - sum(_rows_built(*point) for point in points)
 
     linear = [(250, 0.01), (300, 0.2)]  # 250 + 179 rows built
     log = [(146, 0.995), (300, 0.9030280321355951), (2000, 0.3), (1000, 0.52)]  # 7 + 17 + 112 + 54
@@ -494,9 +521,9 @@ def test_phase_sum_raw_pinned_across_the_skip_edge(monkeypatch):
             rows.clear()
             assert phase_sum_raw(model) == value, (n, theta, skip)
             if skip == math.inf:
-                assert _rows_summed(rows) == (0 if theta == 1.0 else n), (n, theta)
+                assert rows.total() == (0 if theta == 1.0 else n), (n, theta)
             else:
-                assert abs(_rows_summed(rows) - min(n, 40.0 / -model.log_q)) <= 1, (n, theta)
+                assert abs(rows.total() - min(n, 40.0 / -model.log_q)) <= 1, (n, theta)
 
 
 def test_phase_sum_raw_builds_only_the_rows_whose_wait_is_not_one(monkeypatch):
@@ -504,37 +531,97 @@ def test_phase_sum_raw_builds_only_the_rows_whose_wait_is_not_one(monkeypatch):
     # < 40; the rest are not built.
     rows = _counting_row_sums(monkeypatch)
     assert phase_sum_raw(SparsityModel(1000, 0.6)) == PHASE_SUM_RAW_WIDE_PINS[(1000, 0.6)]
-    assert 0 < _rows_summed(rows) <= 45
+    assert 0 < rows.total() <= 45 and not rows.rows
 
 
-# The numbers of blocks phase_sum_raw sums at the benchmark's phase points,
-# recorded from the planner that grew each block from a full-triangle guess.
+# The numbers of numpy blocks and of Python rows phase_sum_raw sums at the
+# benchmark's phase points.  The block counts were recorded from the planner
+# that grew each block from a full-triangle guess; (3, 0.1), whose 3 rows
+# hold 6 cells, builds them in Python instead of in one block.
 PHASE_SUM_RAW_BLOCK_COUNTS = {
-    (3, 0.1): 1, (100, 0.1): 1, (2000, 0.1): 17, (100, 0.9995): 1, (1000, 0.6): 3,
+    (3, 0.1): (0, 3), (100, 0.1): (1, 0), (2000, 0.1): (17, 0), (100, 0.9995): (1, 0),
+    (1000, 0.6): (3, 0),
 }
 
 
 def test_phase_sum_raw_blocks_fit_the_budget_and_tile_the_rows(monkeypatch):
     # Every block passed to _row_sums holds at most _BLOCK_CELLS cells or is
-    # a single row, and the blocks' rows add up to the rows built, so each
-    # built row is summed in exactly one block.  The rows built are the last
-    # ceil(40 / lambda) - 1 (_rows_built may be one off where (n-k) lambda
-    # rounds to 40).  At the benchmark's points the blocks are as many as
-    # they were.
+    # a single row, and the blocks' rows and the Python rows add up to the
+    # rows built, so each built row is summed exactly once.  A call sums
+    # Python rows only, whole ones, or blocks only.  The rows built are the
+    # last ceil(40 / lambda) - 1 (_rows_built may be one off where (n-k)
+    # lambda rounds to 40).  At the benchmark's points the blocks are as
+    # many as they were.
     points = {**PHASE_SUM_RAW_PINS, **PHASE_SUM_RAW_WIDE_PINS}
     for name in ("phase_sum_raw_pins.json", "phase_sum_raw_skip_pins.json"):
         pins = json.loads((DATA_DIR / name).read_text(encoding="utf-8"))
         points.update(((n, theta), value) for n, theta, value, _ in pins)
     assert PHASE_SUM_RAW_BLOCK_COUNTS.keys() <= points.keys()
-    shapes = _counting_row_sums(monkeypatch)
+    summed = _counting_row_sums(monkeypatch)
     for (n, theta), value in points.items():
-        shapes.clear()
+        summed.clear()
         assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta)
-        assert all(rows * width <= coverage._BLOCK_CELLS or rows == 1 for rows, width in shapes)
+        assert all(rows * width <= coverage._BLOCK_CELLS or rows == 1 for rows, width in summed.blocks)
         built = max(0, math.ceil(min(40.0 / -SparsityModel(n, theta).log_q, n + 1)) - 1)
-        assert _rows_summed(shapes) == built, (n, theta)
+        assert summed.total() == built, (n, theta)
+        assert not (summed.blocks and summed.rows), (n, theta)
+        assert summed.rows == list(range(n - len(summed.rows) + 1, n + 1)), (n, theta)
         if (n, theta) in PHASE_SUM_RAW_BLOCK_COUNTS:
-            assert len(shapes) == PHASE_SUM_RAW_BLOCK_COUNTS[n, theta], (n, theta)
+            counts = len(summed.blocks), len(summed.rows)
+            assert counts == PHASE_SUM_RAW_BLOCK_COUNTS[n, theta], (n, theta)
+
+
+def test_phase_sum_raw_linear_paths_give_the_same_bits(monkeypatch):
+    # With the cutoff at 0 every linear call builds numpy blocks, and at
+    # n = 300's 45,150 whole-row cells every call up to n = 300 builds Python
+    # rows; both give the pinned bits at every linear pin.
+    pins = []
+    for name in ("phase_sum_raw_pins.json", "phase_sum_raw_skip_pins.json"):
+        rows = json.loads((DATA_DIR / name).read_text(encoding="utf-8"))
+        pins += [(n, theta, value) for n, theta, value, branch in rows if branch == "linear" and n <= 300]
+    assert len(pins) > 200
+    summed = _counting_row_sums(monkeypatch)
+    for cutoff in (0, 300 * 301 // 2):
+        monkeypatch.setattr(coverage, "_PYTHON_ROW_CELLS", cutoff)
+        for n, theta, value in pins:
+            summed.clear()
+            assert phase_sum_raw(SparsityModel(n, theta)) == value, (n, theta, cutoff)
+            assert not (summed.rows if cutoff == 0 else summed.blocks), (n, theta, cutoff)
+
+
+def test_phase_sum_raw_cutoff_edge(monkeypatch):
+    # At n = 32 and lambda = 40 / 27.5 the rows k = 5 .. 31 are built, 6 +
+    # ... + 32 = 513 whole-row cells.  With the cutoff at 513 they are built
+    # in Python, and at 512, one cell fewer, in numpy blocks; the value is
+    # the same double.
+    model = SparsityModel(32, -math.expm1(-40.0 / 27.5))
+    summed = _counting_row_sums(monkeypatch)
+    values = []
+    for cutoff in (513, 512):
+        monkeypatch.setattr(coverage, "_PYTHON_ROW_CELLS", cutoff)
+        summed.clear()
+        values.append(phase_sum_raw(model))
+        counts = len(summed.blocks), summed.rows
+        assert counts == ((0, list(range(6, 33))) if cutoff == 513 else (1, [])), cutoff
+    assert values[0] == values[1] == pytest.approx(phase_sum_expectation(model), rel=1e-12)
+
+
+def test_phase_sum_raw_small_calls_leave_numpy_unloaded():
+    # (3, 0.1) builds 6 whole-row cells in Python, and numpy stays unloaded;
+    # (100, 0.1), past the cutoff, loads it for its blocks.
+    script = (
+        "import sys\n"
+        "from rowcover import SparsityModel, phase_sum_raw\n"
+        "phase_sum_raw(SparsityModel(3, 0.1))\n"
+        "print('numpy' in sys.modules)\n"
+        "phase_sum_raw(SparsityModel(100, 0.1))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nTrue\n"
 
 
 def test_row_blocks_tile_the_rows_within_the_budget():
@@ -648,13 +735,13 @@ def test_phase_sum_raw_refuses_more_than_the_term_ceiling(monkeypatch):
     # value and one cell more is refused, in the linear branch and in log
     # space.  So n = 14142 at theta = 1e-4, which builds all its rows but
     # each over 26 columns, is within it.
-    shapes, ceiling = _counting_row_sums(monkeypatch), coverage._MAX_TAIL_TERMS
+    summed, ceiling = _counting_row_sums(monkeypatch), coverage._MAX_TAIL_TERMS
     for n, theta, table in ((14142, 1e-4, 0), (1000, 0.6, 1001)):
         model = SparsityModel(n, theta)
         monkeypatch.setattr(coverage, "_MAX_TAIL_TERMS", ceiling)
-        shapes.clear()
+        summed.clear()
         value = phase_sum_raw(model)
-        cells = _rows_summed(shapes) * shapes[-1][1] + table
+        cells = summed.total() * summed.blocks[-1][1] + table
         monkeypatch.setattr(coverage, "_MAX_TAIL_TERMS", cells)
         assert phase_sum_raw(model) == value
         monkeypatch.setattr(coverage, "_MAX_TAIL_TERMS", cells - 1)
@@ -679,6 +766,7 @@ def test_phase_sum_raw_refuses_before_any_block_or_table(monkeypatch):
         raise AssertionError("phase_sum_raw worked before its refusal")
 
     monkeypatch.setattr(coverage, "_row_sums", no_work)
+    monkeypatch.setattr(coverage, "_linear_row", no_work)
     monkeypatch.setattr(math, "lgamma", no_work)
     for n, theta in ((10**7, 1e-4), (2**1000, 0.5), (10**8, 1 - 1e-15)):
         with pytest.raises(DomainError, match="binomial terms .* use phase_sum_expectation"):
