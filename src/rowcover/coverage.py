@@ -96,9 +96,9 @@ _BLOCK_CELLS = 2**13
 
 # A linear-branch phase_sum_raw call whose whole rows, sum over k = first ..
 # n-1 of k + 1 cells, number at most this builds them in Python floats.
-# Python rows cost about 0.12 us a cell and numpy blocks about 55 us a call
-# plus 0.03 us a cell (BENCH_35.json, one pinned Xeon core), so the two
-# cross near 600 cells.
+# Python rows cost about 0.07 us a cell, and numpy blocks about 26 us a
+# call plus 0.02 us a cell (BENCH_35.json, crossover_us, one pinned Xeon
+# core), so the two cross near 550 cells.
 _PYTHON_ROW_CELLS = 512
 
 # phase_sum_raw builds its binomial rows only out to this many standard
