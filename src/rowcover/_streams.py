@@ -76,7 +76,8 @@ This is the only module that knows how numpy draws.  It copies five numpy
 details, each of which numpy's stream policy (NEP 19) lets change between
 releases, and the tests pin on the installed numpy only:
 
-- SeedSequence's hash (numpy/random/bit_generator.pyx), in _trial_keys and
+- SeedSequence's hash (numpy/random/bit_generator.pyx), and its split of a
+  spawn-key int into little-endian 32-bit words, in _trial_keys and
   _spawn_keys;
 - Philox's state layout (numpy/random/_philox.pyx), in keyed_streams;
 - Philox4x64-10's rounds (numpy/random/src/philox/philox.h, from
@@ -360,9 +361,10 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(constants, np.uint64)[:, None]
 
 
-# hashmix's constants for the entropy words [lo, hi, 0, 0, tag, t]: filling the
-# pool takes steps 0-3, cross-mixing it 4-15, absorbing tag 16-19 and t 20-23.
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 25)
+# hashmix's constants for the entropy words [lo, hi, 0, 0, tag, t_lo, t_hi]:
+# filling the pool takes steps 0-3, cross-mixing it 4-15, absorbing tag 16-19,
+# t's low word 20-23 and, for t >= 2^32, its high word 24-27.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 29)
 # generate_state's output hash constants for four words.
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, 5)
 # The pool words each cross-mixing source word is mixed into, in order.
@@ -376,7 +378,8 @@ def _hash(values, constants: np.ndarray) -> np.ndarray:
     the high half in, all mod 2^32 (hashmix, and generate_state's output
     hash).  values broadcasts against the column constants[:-1], so a
     (k,) vector hashed at m steps gives an (m, k) array.  Arithmetic is in
-    uint64 with every product of two 32-bit words masked back to 32 bits.
+    uint64 with every product masked back to 32 bits, so a value wider than
+    32 bits hashes as its low word.
     """
     values = (values ^ constants[:-1]) * constants[1:] & _MASK32
     return values ^ values >> _XSHIFT
@@ -412,25 +415,27 @@ def _trial_keys(seed: int, tag: int, start: int, stop: int) -> Iterator[np.ndarr
     np.uint64), and its first word alone is the sub-seed for (seed, tag, t).
 
     A 64-bit seed and a one-word tag assemble to the entropy words
-    [lo, hi, 0, 0, tag, t], and SeedSequence mixes them in order with hash
-    constants that advance independently of the data.  So the pool after
-    the tag word is shared by every t (it is the pool of the sequence with
-    spawn_key=(tag,)), and absorbing t and drawing the output words is the
-    same arithmetic for each index: one vectorized pass over the block.
-    An index of 2**32 or more is two words long; those indices, which only
-    a coverage estimate or coverage_experiment past 2**32 trials and
-    phase_sweep's sub-seeds at p >= 2**32 reach, are hashed by SeedSequence
-    itself.
+    [lo, hi, 0, 0, tag, t_lo, t_hi]: SeedSequence splits t into
+    little-endian 32-bit words, so t_hi is there only for t >= 2**32.  It
+    mixes them in order with hash constants that advance independently of
+    the data.  So the pool after the tag word is shared by every t (it
+    is the pool of the sequence with spawn_key=(tag,)), and absorbing t
+    and drawing the output words is the same arithmetic for each index:
+    one vectorized pass over the block, for every index below 2**64.  The
+    pass absorbs each index's low word, as _hash keeps only the low 32 bits
+    of its products.  Indices of 2**32 or more, which only a coverage
+    estimate or coverage_experiment past 2**32 trials and phase_sweep's
+    sub-seeds at p >= 2**32 reach, have their high words absorbed after
+    it, in the blocks that hold them.
     """
     pool = np.random.SeedSequence(entropy=seed, spawn_key=(tag,)).pool.astype(np.uint64)[:, None]
     for low in range(start, stop, _BLOCK):
-        high = min(low + _BLOCK, stop)
-        index = np.arange(low, min(high, 2**32), dtype=np.uint64)
-        keys = _output_keys(_absorb(pool, index, 20))
-        for t in range(max(low, 2**32), high):
-            sequence = np.random.SeedSequence(entropy=seed, spawn_key=(tag, t))
-            keys = np.column_stack((keys, sequence.generate_state(2, np.uint64)))
-        yield keys
+        index = np.arange(low, min(low + _BLOCK, stop), dtype=np.uint64)
+        mixed = _absorb(pool, index, 20)
+        if low + len(index) > 2**32:
+            wide = max(0, 2**32 - low)
+            mixed[:, wide:] = _absorb(mixed[:, wide:], index[wide:] >> _SHIFT32, 24)
+        yield _output_keys(mixed)
 
 
 def _spawn_keys(seeds: list[int], tags: tuple[int, ...]) -> np.ndarray:

@@ -246,8 +246,9 @@ def phase_sweep(
     Each point runs estimate_coverage_probability under the sub-seed
     derived from (seed, p), so individual points can be reproduced in
     isolation and inserting or removing grid points never shifts the
-    others.  A range of more than 10^5 points raises DomainError before
-    any estimate.
+    others.  A range of more than 10^5 points, or a p_max whose n x p
+    draw numpy could not allocate, raises DomainError before any estimate
+    or sub-seed.
     """
     _checked_model(model)
     p_min = checked_int(p_min, "p_min", 0)
@@ -261,6 +262,7 @@ def phase_sweep(
             f"range p_min = {p_min} .. p_max = {p_max} has {p_max - p_min + 1} points, "
             f"more than {_MAX_SWEEP_POINTS}"
         )
+    _streams._check_draw_size("an n x p", model.n, p_max)
     points = []
     sub_seeds = _streams.trial_seeds(seed, _streams.SWEEP_POINT, p_min, p_max + 1)
     for p, sub_seed in zip(range(p_min, p_max + 1), sub_seeds):

@@ -324,6 +324,20 @@ def test_sweep_past_the_point_ceiling_exits_one(capsys):
     assert err.startswith("rowcover: ") and "more than 100000" in err
 
 
+def test_sweep_past_the_draw_limit_exits_one_without_a_traceback():
+    # p = 2^63 + 2^32 + 1026 is past the largest n x p draw at n = 3, and
+    # its sub-seed's spawn-key index is two 32-bit words.
+    p = str(2**63 + 2**32 + 1026)
+    result = run_subprocess(
+        ["sweep", "--n", "3", "--theta", "0.5", "--p-min", p, "--p-max", p, "--trials", "1"]
+    )
+    err = result.stderr.decode()
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert err.startswith(f"rowcover: an n x p = 3 x {p} draw") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_malformed_lists(capsys):
     for n, theta, message in (
         ("2,x", "0.5", "expected comma-separated integers, got '2,x'"),

@@ -677,6 +677,19 @@ def test_sweep_refuses_more_points_than_the_ceiling(monkeypatch):
             phase_sweep(model, p_min, p_max, 1, 0)
 
 
+@pytest.mark.parametrize("p", [2**63 + 2**32 + 5, 2**64, 10**20])
+def test_sweep_refuses_a_draw_numpy_cannot_allocate_before_any_sub_seed(p, monkeypatch):
+    # Past the draw limit no estimate could run, so the sweep is refused with
+    # the estimate's own message before any sub-seed is hashed.
+    def no_work(*args):
+        raise AssertionError("a sub-seed was hashed or an estimate ran before the refusal")
+
+    monkeypatch.setattr(_streams, "_trial_keys", no_work)
+    monkeypatch.setattr(montecarlo, "estimate_coverage_probability", no_work)
+    with pytest.raises(DomainError, match=r"an n x p = 3 x .* draw .* numpy can allocate"):
+        phase_sweep(SparsityModel(3, 0.5), p, p, 1, 0)
+
+
 # ------------------------------------------------------- integer arguments
 
 

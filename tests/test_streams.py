@@ -30,6 +30,9 @@ from rowcover import _streams
 
 SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
 BLOCK = _streams._BLOCK
+# Index ranges with two-word indices, 2**32 and up.
+WIDE_RANGES = ((2**32 - 2, 2**32 + 2), (2**32 - 700, 2**32 + 700), (2**40, 2**40 + 3),
+               (2**64 - 3, 2**64))
 
 
 def reference_key(seed: int, tag: int, t: int) -> list[int]:
@@ -53,17 +56,18 @@ def test_batched_keys_match_seed_sequence(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_keys_across_the_two_word_index_boundary(seed):
-    # Indices from 2**32 on are two uint32 words in the spawn key.
+    # Indices from 2**32 on are two uint32 words in the spawn key: blocks at
+    # and across 2**32, one wholly past it, and the top of the uint64 range.
     tag = _streams.COVERAGE_TRIAL
-    start = 2**32 - 2
-    keys = batched_keys(seed, tag, start, start + 4)
-    assert keys == [reference_key(seed, tag, t) for t in range(start, start + 4)]
+    for start, stop in WIDE_RANGES:
+        keys = batched_keys(seed, tag, start, stop)
+        assert keys == [reference_key(seed, tag, t) for t in range(start, stop)], (start, stop)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_trial_seeds_match_seed_sequence(seed):
     tag = _streams.INSTANCE
-    for start, stop in ((0, 3), (BLOCK - 1, BLOCK + 2), (2**32 - 1, 2**32 + 1)):
+    for start, stop in ((0, 3), (BLOCK - 1, BLOCK + 2), (2**32 - 1, 2**32 + 1), *WIDE_RANGES):
         seeds = list(_streams.trial_seeds(seed, tag, start, stop))
         assert seeds == [reference_key(seed, tag, t)[0] for t in range(start, stop)]
         assert all(type(value) is int for value in seeds)
@@ -169,8 +173,8 @@ _ONES = 2**64 - 1
 @pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
 def test_philox_words_are_the_rekeyed_streams_raw_words(seed):
     # Word i is word i mod 4 of the block at counter i // 4 + 1, so 20 words
-    # cross four counter blocks.  The indices either side of 2^32 take their
-    # keys from SeedSequence itself.
+    # cross four counter blocks.  The indices either side of 2^32 are one and
+    # two spawn-key words long.
     tag = _streams.COVER_TRIAL
     for start in (0, BLOCK - 1, 2**32 - 1):
         keys = next(_streams._trial_keys(seed, tag, start, start + 2))
