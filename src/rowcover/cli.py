@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 from .bounds import bound_report
 from .coverage import (
+    _DEFAULT_TOL,
     SparsityModel,
     _checked_tol,
     _expected_cover_time,
@@ -125,12 +126,9 @@ def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
     model = SparsityModel(args.n, args.theta)
     # The analytic value comes first: it refuses what it cannot compute
     # before any trial is drawn.  E[T] is computed without the reference
-    # sums, which simulate does not print.  Where it overflows a double, the
-    # geometric draws would clip at the int64 maximum, so it is refused.
+    # sums, which simulate does not print.
     if args.p is None:
         analytic = _expected_cover_time(model, args.tol)[0]
-        if analytic == float("inf"):
-            raise DomainError(f"E[T] overflows a double at theta = {args.theta!r}")
         estimate = estimate_expected_cover_time(model, args.trials, args.seed)
     else:
         _checked_tol(args.tol)  # unused here, but a malformed one is refused as in E[T] mode
@@ -227,7 +225,7 @@ _FLAGS = {
     "--seed": dict(
         type=int, default=0, help="random seed, unsigned 64-bit (default: %(default)s)"
     ),
-    "--tol": dict(type=float, default=1e-10),
+    "--tol": dict(type=float, default=_DEFAULT_TOL),
     "--format": dict(
         choices=("json", "csv"), default="json", help="output encoding (default: %(default)s)"
     ),

@@ -3,9 +3,10 @@
 Estimators here sample the same Bernoulli row-sparsity process the
 coverage module describes analytically: cover times, coverage
 probabilities at fixed column counts, and whole phase curves over a range
-of p.  Every estimate carries a 95% confidence interval (Wilson score for
-proportions, normal approximation for means) and the seed that produced
-it.
+of p.  Every estimate carries a nominal 95% confidence interval (Wilson
+score for proportions, normal approximation for means; both hold the true
+value less often at small trial counts, see MonteCarloEstimate) and the
+seed that produced it.
 
 Reproducibility contract: each trial's stream is a pure function of
 (seed, trial index) and each sweep point's sub-seed of (seed, p), via the
@@ -72,10 +73,15 @@ _MAX_SWEEP_POINTS = 10**5
 
 @dataclass(frozen=True, slots=True)
 class MonteCarloEstimate:
-    """A mean with its 95% confidence interval and provenance.
+    """A mean with its nominal 95% confidence interval and provenance.
 
-    seed is the exact seed the estimator consumed, so any estimate can be
-    reproduced from its own fields.
+    The interval is asymptotic, and at small trial counts it holds the true
+    value less often than 95% of the time: estimate_expected_cover_time's
+    about 65-69% at 2 trials and 88-91% at 10, and
+    estimate_coverage_probability's 82-96% at 2-100 trials, depending on
+    the trial count and P (see each estimator).  seed is the exact seed the
+    estimator consumed, so any estimate can be reproduced from its own
+    fields.
     """
 
     mean: float
@@ -196,6 +202,12 @@ def estimate_expected_cover_time(
 ) -> MonteCarloEstimate:
     """Sample mean of `trials` independent cover times with a normal CI.
 
+    The interval is mean +- Z95 sample standard errors, so it holds E[T]
+    about 95% of the time only for large trial counts.  Measured over 2,000
+    seeds at (3, 0.5), (10, 0.3), (20, 0.5) and (100, 0.05), it held E[T]
+    65-69% of the time at 2 trials, 85-87% at 5, 88-91% at 10 and 94-95%
+    at 100.
+
     An n of 2^60 or more, where numpy could not allocate geometric(theta, n)
     itself though no n-long array is drawn, raises DomainError before any
     trial, and so does a trial count past the largest array of cover times
@@ -217,6 +229,11 @@ def estimate_coverage_probability(
     model: SparsityModel, p: int, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Fraction of n x p patterns with no all-zero row, with a Wilson CI.
+
+    The Wilson interval's coverage swings with the trial count and with P:
+    at (10, 0.3, 13), where P = 0.907, it holds P 82% of the time at 2
+    trials and 94% at 10 and 100; at (3, 0.5, 3) it holds it 89% at 2
+    trials and 96% at 10 and 100.
 
     Each trial draws its whole n x p pattern, so an n x p past the largest
     array numpy can allocate raises DomainError.  Trials are drawn into a

@@ -409,27 +409,36 @@ def test_simulate_computes_no_reference_sum(capsys, monkeypatch):
     assert parse_json_lines(stdout)[0]["results"]["analytic"] == 3.14285714277
 
 
-def test_simulate_refuses_an_overflowing_cover_time_before_any_sum_or_draw(capsys, monkeypatch):
+def test_cover_time_commands_refuse_an_overflowing_cover_time_before_any_sum_or_draw(
+    capsys, monkeypatch
+):
     # E[T] overflows a double where 1/lambda does, as at theta = 1e-310 and
-    # 5e-324, and every geometric draw there would clip.  E[T] is refused
-    # first, in one error line with no warning: H_n is not summed and no
-    # trial key is hashed.
-    from rowcover import _streams, coverage
+    # 5e-324, and every geometric draw there would clip.  Every command that
+    # computes E[T] refuses it first, in one error line with no warning: H_n,
+    # the phase sum and the classic sum are not summed and no trial key is
+    # hashed.
+    from rowcover import _streams, bounds, coverage
 
     def no_work(*args):
-        raise AssertionError("simulate summed H_n or hashed a trial key before its refusal")
+        raise AssertionError("a sum or a trial key was reached before E[T]'s refusal")
 
-    monkeypatch.setattr(coverage, "harmonic", no_work)
-    monkeypatch.setattr(_streams, "_trial_keys", no_work)
-    for n, theta in (("10000000", "1e-310"), ("1", "5e-324")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, stdout, stderr = run_capture(
-                ["simulate", "--n", n, "--theta", theta, "--trials", "2"], capsys
-            )
-        assert code == 1
-        assert stdout == ""
-        assert stderr == f"rowcover: E[T] overflows a double at theta = {float(theta)!r}\n"
+    for module, names in (
+        (coverage, ("harmonic", "phase_sum_expectation", "classic_harmonic_sum")),
+        (bounds, ("harmonic", "phase_sum_expectation")),
+        (_streams, ("_trial_keys",)),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, no_work)
+    for command in (["simulate", "--trials", "2"], ["expect"], ["bounds"]):
+        for n, theta in (("10000000", "1e-310"), ("1", "5e-324")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, stdout, stderr = run_capture(
+                    [*command, "--n", n, "--theta", theta], capsys
+                )
+            assert code == 1, command
+            assert stdout == ""
+            assert stderr == f"rowcover: E[T] overflows a double at theta = {float(theta)!r}\n"
 
 
 def test_simulate_refuses_a_trial_count_numpy_cannot_allocate(capsys):

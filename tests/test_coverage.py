@@ -207,9 +207,11 @@ def test_summary_validation():
         CoverTimeSummary(0.5, 2.0, 2.0, 0.0)
     with pytest.raises(DomainError):
         CoverTimeSummary(2.0, 2.0, 2.0, -1e-30)
-    # A subnormal theta overflows H_n / lambda; no bound makes inf an estimate.
-    with pytest.raises(DomainError):
-        exact_expected_cover_time(SparsityModel(2, 1e-310))
+    # A subnormal theta overflows H_n / lambda; no bound makes inf an estimate,
+    # and E[T] is refused before the phase sum is reached.
+    for summary in (exact_expected_cover_time, bound_report):
+        with pytest.raises(DomainError, match=r"E\[T\] overflows a double"):
+            summary(SparsityModel(2, 1e-310))
 
 
 # -------------------------------------------------------- classic sum

@@ -541,6 +541,60 @@ def test_coverage_wilson_interval_calibration():
     assert inside >= math.ceil(0.93 * total), f"{inside}/{total} inside"
 
 
+# Small-trial calibration of both "95%" intervals.  Each seed's estimate is
+# drawn from its own Philox keys, so the estimates over a seed range are
+# independent and the count of intervals that hold the exact value is
+# binomial in the seed count.  Each count must lie in that law's central
+# 1 - 2e-3 band.
+CALIBRATION_SEEDS = range(1000)
+CALIBRATION_TRIALS = (2, 10, 100)
+
+
+def _binomial_band(low: float, high: float) -> tuple[float, float]:
+    seeds = len(CALIBRATION_SEEDS)
+    return stats.binom.ppf(1e-3, seeds, low), stats.binom.isf(1e-3, seeds, high)
+
+
+def test_mean_interval_coverage_at_small_trial_counts():
+    # The normal interval is asymptotic: it holds the exact E[T] about 65-69%
+    # of the time at 2 trials, 88-91% at 10 and 94-95% at 100, as measured
+    # over 2,000 seeds at these points and at (10, 0.3) and (100, 0.05).
+    # Points on the uniform-word path keep the 6,000 estimates fast.
+    measured = {2: (0.65, 0.69), 10: (0.88, 0.92), 100: (0.94, 0.955)}
+    for n, theta in ((3, 0.5), (20, 0.5)):
+        model = SparsityModel(n, theta)
+        exact = exact_expected_cover_time(model).exact_expectation
+        for trials in CALIBRATION_TRIALS:
+            inside = 0
+            for seed in CALIBRATION_SEEDS:
+                estimate = estimate_expected_cover_time(model, trials, seed)
+                inside += estimate.ci_low <= exact <= estimate.ci_high
+            low, high = _binomial_band(*measured[trials])
+            assert low <= inside <= high, (n, theta, trials, inside)
+
+
+def test_wilson_interval_coverage_at_small_trial_counts():
+    # The Wilson interval's coverage at t trials is exact: the binomial
+    # probability of the hit counts whose interval holds P.  It swings with
+    # t and P, from 82% at (10, 0.3, 13) with 2 trials to 96% at (3, 0.5, 3)
+    # with 10, and the counts over the seed range must follow it.
+    for n, theta, p in ((3, 0.5, 3), (10, 0.3, 13)):
+        model = SparsityModel(n, theta)
+        exact = coverage_probability(model, p)
+        for trials in CALIBRATION_TRIALS:
+            coverage = 0.0
+            for hits in range(trials + 1):
+                low, high = montecarlo._wilson_interval(hits, trials)
+                if low <= exact <= high:
+                    coverage += stats.binom.pmf(hits, trials, exact)
+            inside = 0
+            for seed in CALIBRATION_SEEDS:
+                estimate = estimate_coverage_probability(model, p, trials, seed)
+                inside += estimate.ci_low <= exact <= estimate.ci_high
+            low, high = _binomial_band(coverage, coverage)
+            assert low <= inside <= high, (n, theta, p, trials, coverage, inside)
+
+
 def test_coverage_rejects_bad_arguments():
     model = SparsityModel(3, 0.5)
     with pytest.raises(DomainError):
